@@ -60,6 +60,23 @@ func TestScratchShortestPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPathCh(g, 0, 399, cu) }); avg != 0 {
 		t.Fatalf("Scratch.ShortestPathCh allocates %v/op, want 0", avg)
 	}
+
+	// A predicate bound at the call site — a method value, as the
+	// elephant router passes its probed-state filter — must not escape
+	// through the search onto the heap.
+	f := &allowAll{}
+	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPathCh(g, 0, 399, f.usableCh) }); avg != 0 {
+		t.Fatalf("Scratch.ShortestPathCh(method value) allocates %v/op, want 0", avg)
+	}
+}
+
+// allowAll is a channel filter with state, standing in for a router's
+// probed-residual predicate.
+type allowAll struct{ calls int }
+
+func (a *allowAll) usableCh(u, v topo.NodeID, ch int32) bool {
+	a.calls++
+	return true
 }
 
 // TestScratchBannedSearchZeroAlloc pins the Yen spur primitive — a

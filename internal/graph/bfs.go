@@ -56,8 +56,13 @@ func Hops(path []topo.NodeID) int {
 }
 
 // ShortestPath returns a minimum-hop path from s to t whose every
-// directed hop satisfies usable, or nil if t is unreachable. Neighbour
-// order breaks ties, making results deterministic for a fixed graph.
+// directed hop satisfies usable, or nil if t is unreachable. Of all such
+// paths it returns the lexicographically first shortest usable path in
+// adjacency order: the one whose first hop comes earliest in s's
+// neighbour list, then earliest in the next node's list, and so on —
+// the path a one-sided BFS from s reads back from its parent tree.
+// Routing tables, Yen's candidates and the seed goldens rely on this
+// tie-break; the bidirectional search behind it reproduces it exactly.
 //
 // The search runs on a pooled Scratch, so the only allocation is the
 // returned path itself; callers on a hot loop that can reuse the result

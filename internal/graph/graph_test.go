@@ -385,3 +385,68 @@ func BenchmarkYenTop4BA1870(b *testing.B) {
 		YenKSP(g, 0, topo.NodeID(1+i%1869), 4)
 	}
 }
+
+// BenchmarkShortestPathBA200 is the small-graph case: one search on a
+// 200-node scale-free graph, where per-search set-up weighs as much as
+// the traversal.
+func BenchmarkShortestPathBA200(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := topo.RippleLike(200, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.ShortestPath(g, topo.NodeID(i%199), topo.NodeID(1+(i*7)%199), nil)
+	}
+}
+
+// BenchmarkYenTop4BA10k is a mice routing-table fill at snapshot scale:
+// the first path plus the spur searches of three more on a 10k-node
+// scale-free graph.
+func BenchmarkYenTop4BA10k(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := topo.RippleLike(10000, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		YenKSP(g, topo.NodeID((i*7919)%10000), topo.NodeID(1+(i*104729)%9999), 4)
+	}
+}
+
+// BenchmarkBannedSpur10k is one Yen spur search in isolation: the ban
+// set of a root prefix (its first hop banned, the source's neighbours
+// reached only around it) and the banned search from the source on a
+// 10k-node scale-free graph.
+func BenchmarkBannedSpur10k(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := topo.RippleLike(10000, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		s, t  topo.NodeID
+		first int
+	}
+	var qs []query
+	sc := NewScratch()
+	for i := 0; len(qs) < 64; i++ {
+		s, t := topo.NodeID((i*7919)%10000), topo.NodeID(1+(i*104729)%9999)
+		if p := sc.ShortestPath(g, s, t, nil); len(p) > 2 {
+			qs = append(qs, query{s, t, g.ChannelIndex(p[0], p[1])})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		sc.ensureBans(g)
+		sc.banChannel(q.first)
+		sc.search(g, q.s, q.t, nil, nil, true)
+	}
+}

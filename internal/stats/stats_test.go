@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -211,6 +212,46 @@ func TestZipfSkew(t *testing.T) {
 func TestZipfN(t *testing.T) {
 	if NewZipf(17, 1).N() != 17 {
 		t.Error("N mismatch")
+	}
+}
+
+// freshZipfDraw is the per-call Zipf the grow-only table replaced: a
+// cumulative table summed from rank 0 for exactly n ranks, and one
+// binary-searched draw from it.
+func freshZipfDraw(rng *rand.Rand, n int, s float64) int {
+	cum := make([]float64, n)
+	total := 0.0
+	for i := range cum {
+		total += 1 / math.Pow(float64(i+1), s)
+		cum[i] = total
+	}
+	target := rng.Float64() * cum[n-1]
+	lo, hi := 0, n-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfDrawNMatchesFreshTable pins DrawN over a prefix of one
+// grow-only table to a freshly built n-rank table, draw for draw, while
+// n grows, shrinks and jumps past the table's end.
+func TestZipfDrawNMatchesFreshTable(t *testing.T) {
+	for _, s := range []float64{0.7, 1, 1.6} {
+		z := NewZipf(0, s)
+		got, want := NewRNG(5, 2), NewRNG(5, 2)
+		pick := NewRNG(5, 3)
+		for i := 0; i < 5000; i++ {
+			n := 1 + pick.Intn(1+i/10)
+			if a, b := z.DrawN(got, n), freshZipfDraw(want, n, s); a != b {
+				t.Fatalf("s=%v draw %d over %d ranks: DrawN %d, fresh table %d", s, i, n, a, b)
+			}
+		}
 	}
 }
 

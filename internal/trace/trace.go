@@ -138,6 +138,7 @@ type Generator struct {
 	rng       *rand.Rand
 	senders   *stats.Zipf
 	receivers map[topo.NodeID][]topo.NodeID // per-sender known receivers
+	ranks     *stats.Zipf                   // receiver ranks, grown to the longest list
 	component []int                         // component ID per node (when Graph set)
 	next      int
 
@@ -172,6 +173,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		rng:         stats.NewRNG(cfg.Seed, 0xF1A54),
 		senders:     stats.NewZipf(cfg.Nodes, cfg.SenderZipf),
 		receivers:   make(map[topo.NodeID][]topo.NodeID),
+		ranks:       stats.NewZipf(0, cfg.ReceiverZipf),
 		amountScale: 1,
 	}
 	if cfg.Graph != nil {
@@ -262,8 +264,7 @@ func (g *Generator) pickSender() topo.NodeID {
 func (g *Generator) pickReceiver(sender topo.NodeID) topo.NodeID {
 	known := g.receivers[sender]
 	if len(known) > 0 && g.rng.Float64() < g.cfg.RecurrenceProb {
-		z := stats.NewZipf(len(known), g.cfg.ReceiverZipf)
-		return known[z.Draw(g.rng)]
+		return known[g.ranks.DrawN(g.rng, len(known))]
 	}
 	// Meet someone new (falling back to a known receiver after too many
 	// failed attempts on fragmented graphs).
