@@ -3,38 +3,39 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Ring returns a cycle of n nodes (useful in tests).
 func Ring(n int) *Graph {
-	g := New(n)
+	edges := make([]Edge, 0, n)
 	for i := 0; i < n; i++ {
-		g.MustAddChannel(NodeID(i), NodeID((i+1)%n))
+		edges = append(edges, Edge{NodeID(i), NodeID((i + 1) % n)})
 	}
-	g.Compact()
-	return g
+	if n == 2 {
+		edges = edges[:1] // the wrap-around 1-0 is channel 0-1 again
+	}
+	return mustFromEdges(n, edges)
 }
 
 // Line returns a path graph of n nodes 0-1-…-(n-1).
 func Line(n int) *Graph {
-	g := New(n)
+	edges := make([]Edge, 0, max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
-		g.MustAddChannel(NodeID(i), NodeID(i+1))
+		edges = append(edges, Edge{NodeID(i), NodeID(i + 1)})
 	}
-	g.Compact()
-	return g
+	return mustFromEdges(n, edges)
 }
 
 // Complete returns the complete graph on n nodes.
 func Complete(n int) *Graph {
-	g := New(n)
+	edges := make([]Edge, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.MustAddChannel(NodeID(i), NodeID(j))
+			edges = append(edges, Edge{NodeID(i), NodeID(j)})
 		}
 	}
-	g.Compact()
-	return g
+	return mustFromEdges(n, edges)
 }
 
 // WattsStrogatz generates a small-world graph per Watts & Strogatz
@@ -89,40 +90,34 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) (*Graph, error) {
 	if n <= m {
 		return nil, fmt.Errorf("topo: Barabasi-Albert needs n > m, got n=%d m=%d", n, m)
 	}
-	g := New(n)
+	edges := make([]Edge, 0, m*(m+1)/2+(n-m-1)*m)
 	// Seed clique of m+1 nodes keeps the graph connected from the start.
 	for i := 0; i <= m; i++ {
 		for j := i + 1; j <= m; j++ {
-			g.MustAddChannel(NodeID(i), NodeID(j))
+			edges = append(edges, Edge{NodeID(i), NodeID(j)})
 		}
 	}
 	// targets holds one entry per channel endpoint, so uniform sampling
 	// from it is degree-proportional sampling.
-	var targets []NodeID
-	for _, e := range g.Channels() {
+	targets := make([]NodeID, 0, 2*cap(edges))
+	for _, e := range edges {
 		targets = append(targets, e.A, e.B)
 	}
+	picked := make([]NodeID, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := make(map[NodeID]bool, m)
-		picked := make([]NodeID, 0, m)
-		for len(chosen) < m {
+		picked = picked[:0]
+		for len(picked) < m {
 			cand := targets[rng.Intn(len(targets))]
-			if cand != NodeID(v) && !chosen[cand] {
-				chosen[cand] = true
+			if cand != NodeID(v) && !slices.Contains(picked, cand) {
 				picked = append(picked, cand)
 			}
 		}
-		// Attach in draw order, never map order: a generator that takes
-		// an explicit rng must be a pure function of it, and map
-		// iteration would scramble channel indices (and every subsequent
-		// degree-proportional draw) from process to process.
 		for _, u := range picked {
-			g.MustAddChannel(NodeID(v), u)
+			edges = append(edges, Edge{NodeID(v), u})
 			targets = append(targets, NodeID(v), u)
 		}
 	}
-	g.Compact()
-	return g, nil
+	return fromEdges(n, edges)
 }
 
 // RippleLike generates a scale-free topology with the node count and

@@ -21,13 +21,21 @@
 // second, neighbor-sorted copy serves O(log degree) channel lookup by
 // binary search — no map on the read path.
 //
-// Because CSR is append-hostile, AddChannel stages new channels in
-// small per-node pending lists and folds them into the arena in
+// Bulk construction — the Ring/Line/Complete/Barabási–Albert
+// generators and Subgraph — stages the channel list and builds the CSR
+// once (buildCSR): a counting sort of the half-edges by endpoint fills
+// the arena, and transposing the arena fills the sorted copy, both
+// linear and with a constant number of allocations.
+//
+// AddChannel is for incremental extension (the snapshot loaders, whose
+// duplicate rules differ, Watts–Strogatz rewiring, channels registered
+// on a live network): it stages new channels in small per-node pending
+// lists and folds them in by rebuilding from the channel list, in
 // amortised-O(1) compactions; any read that needs contiguous adjacency
 // compacts first. Concurrent reads of a quiescent (fully compacted)
 // graph are lock-free and safe — the run paths (pcn.New, the snapshot
 // loaders, the generators) all hand out compacted graphs. AddChannel
-// itself is not safe concurrently with anything, exactly as before.
+// itself is not safe concurrently with anything.
 package topo
 
 import (
@@ -167,9 +175,10 @@ func (g *Graph) MustAddChannel(a, b NodeID) int {
 }
 
 // Compact folds all staged channels into the CSR arena so subsequent
-// reads are lock-free. Construction paths (pcn.New, the generators,
-// the snapshot loaders) call it once after the last AddChannel; it is
-// also applied lazily by any read that needs contiguous adjacency.
+// reads are lock-free. Construction paths that use AddChannel (pcn.New,
+// the snapshot loaders, Watts–Strogatz) call it once after the last
+// AddChannel; it is also applied lazily by any read that needs
+// contiguous adjacency.
 func (g *Graph) Compact() {
 	if g.pendN.Load() == 0 {
 		return
@@ -179,66 +188,119 @@ func (g *Graph) Compact() {
 	g.mu.Unlock()
 }
 
-// compactLocked rebuilds the CSR snapshot from the current base plus
-// every pending half-edge, preserving per-node insertion order, and
-// publishes it. Callers hold g.mu.
+// compactLocked rebuilds the CSR snapshot from the channel list and
+// publishes it. Callers hold g.mu. Each node's arena run is its incident
+// channels in index order, that is its base run followed by its staged
+// channels, so adjacency order never changes across a compaction.
 func (g *Graph) compactLocked() {
 	if g.pendN.Load() == 0 {
 		return
 	}
-	old := g.base.Load()
-	n := g.NumNodes()
-	total := 2 * len(g.edges)
-	nc := &csr{
-		off:     make([]int32, n+1),
-		arena:   make([]NodeID, total),
-		arenaCh: make([]int32, total),
-		sorted:  make([]NodeID, total),
-		sortCh:  make([]int32, total),
+	nc, err := buildCSR(g.NumNodes(), g.edges)
+	if err != nil {
+		panic(err) // AddChannel validated every channel
 	}
-	for u := 0; u < n; u++ {
-		nc.off[u+1] = nc.off[u] + int32(old.degree(NodeID(u))+len(g.pend[u]))
-	}
-	for u := 0; u < n; u++ {
-		lo, hi := int(nc.off[u]), int(nc.off[u+1])
-		// Insertion-order arena: base span first (already in order),
-		// then the staged tail in staging order.
-		w := lo
-		for i := old.off[u]; i < old.off[u+1]; i++ {
-			nc.arena[w], nc.arenaCh[w] = old.arena[i], old.arenaCh[i]
-			w++
-		}
-		for _, p := range g.pend[u] {
-			nc.arena[w], nc.arenaCh[w] = p.nbr, p.ch
-			w++
-		}
-		g.pend[u] = nil
-		// Sorted copy: merge would do, but a per-node sort is simple and
-		// runs only at compaction; neighbor IDs are unique per node.
-		copy(nc.sorted[lo:hi], nc.arena[lo:hi])
-		copy(nc.sortCh[lo:hi], nc.arenaCh[lo:hi])
-		span := nodeSortSpan{nbr: nc.sorted[lo:hi], ch: nc.sortCh[lo:hi]}
-		if !sort.IsSorted(span) {
-			sort.Sort(span)
-		}
+	for _, e := range g.edges[g.baseEdge:] {
+		g.pend[e.A], g.pend[e.B] = nil, nil
 	}
 	g.base.Store(nc)
 	g.baseEdge = len(g.edges)
 	g.pendN.Store(0)
 }
 
-// nodeSortSpan sorts one node's neighbor run with its parallel channel
-// indices.
-type nodeSortSpan struct {
-	nbr []NodeID
-	ch  []int32
+// fromEdges returns the compacted n-node graph whose channel i joins
+// edges[i].A and edges[i].B, taking ownership of edges and
+// canonicalising them in place. It builds the same graph as an
+// AddChannel loop over edges, except that a channel listed twice is an
+// error.
+func fromEdges(n int, edges []Edge) (*Graph, error) {
+	for i, e := range edges {
+		edges[i] = NewEdge(e.A, e.B)
+	}
+	c, err := buildCSR(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{edges: edges, pend: make([][]pendingHalf, n), baseEdge: len(edges)}
+	g.base.Store(c)
+	return g, nil
 }
 
-func (s nodeSortSpan) Len() int           { return len(s.nbr) }
-func (s nodeSortSpan) Less(i, j int) bool { return s.nbr[i] < s.nbr[j] }
-func (s nodeSortSpan) Swap(i, j int) {
-	s.nbr[i], s.nbr[j] = s.nbr[j], s.nbr[i]
-	s.ch[i], s.ch[j] = s.ch[j], s.ch[i]
+// mustFromEdges is fromEdges for generators whose edge lists are valid
+// by construction; it panics on error.
+func mustFromEdges(n int, edges []Edge) *Graph {
+	g, err := fromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// buildCSR builds the CSR snapshot of an n-node graph whose channel i
+// joins edges[i].A and edges[i].B, in two linear passes and a constant
+// number of allocations:
+//
+//  1. A counting sort of the half-edges by endpoint, walking the
+//     channels backwards from the end of each node's run, fills the
+//     arena with every node's incident channels in index order.
+//  2. Transposing the arena — for v ascending, append v to the sorted
+//     run of each neighbor u — fills every sorted run in ascending
+//     neighbor order, because the graph is undirected (u is in v's run
+//     exactly when v is in u's). A channel listed twice shows up as
+//     two equal neighbors side by side in a sorted run.
+//
+// Self-loops, out-of-range endpoints and duplicate channels are errors.
+func buildCSR(n int, edges []Edge) (*csr, error) {
+	total := 2 * len(edges)
+	c := &csr{
+		off:     make([]int32, n+1),
+		arena:   make([]NodeID, total),
+		arenaCh: make([]int32, total),
+		sorted:  make([]NodeID, total),
+		sortCh:  make([]int32, total),
+	}
+	for _, e := range edges {
+		if e.A == e.B {
+			return nil, fmt.Errorf("topo: self-loop on node %d", e.A)
+		}
+		if int(e.A) < 0 || int(e.A) >= n || int(e.B) < 0 || int(e.B) >= n {
+			return nil, fmt.Errorf("topo: node out of range: %d-%d (n=%d)", e.A, e.B, n)
+		}
+		c.off[e.A+1]++
+		c.off[e.B+1]++
+	}
+	for u := 1; u <= n; u++ {
+		c.off[u] += c.off[u-1]
+	}
+	// end[u] starts at the end of u's run and steps back one slot per
+	// incident channel, highest index first.
+	end := make([]int32, n)
+	copy(end, c.off[1:])
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		end[e.A]--
+		c.arena[end[e.A]], c.arenaCh[end[e.A]] = e.B, int32(i)
+		end[e.B]--
+		c.arena[end[e.B]], c.arenaCh[end[e.B]] = e.A, int32(i)
+	}
+	// end now holds the start of every run: reuse it as the transpose
+	// cursor.
+	for v := 0; v < n; v++ {
+		for i := c.off[v]; i < c.off[v+1]; i++ {
+			u := c.arena[i]
+			c.sorted[end[u]], c.sortCh[end[u]] = NodeID(v), c.arenaCh[i]
+			end[u]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		for i := c.off[u] + 1; i < c.off[u+1]; i++ {
+			if c.sorted[i] == c.sorted[i-1] {
+				return nil, fmt.Errorf("topo: duplicate channel %d-%d (channels %d and %d)",
+					u, c.sorted[i], c.sortCh[i-1], c.sortCh[i])
+			}
+		}
+	}
+	return c, nil
 }
 
 // HasChannel reports whether a channel joins a and b.
@@ -402,15 +464,14 @@ func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
 	for newID, old := range keep {
 		remap[old] = NodeID(newID)
 	}
-	sub := New(len(keep))
+	var edges []Edge
 	for _, e := range g.edges {
 		a, b := remap[e.A], remap[e.B]
 		if a >= 0 && b >= 0 {
-			sub.MustAddChannel(a, b)
+			edges = append(edges, Edge{a, b})
 		}
 	}
-	sub.Compact()
-	return sub, remap
+	return mustFromEdges(len(keep), edges), remap
 }
 
 // AvgDegree returns the mean node degree (2·channels / nodes).

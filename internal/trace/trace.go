@@ -182,19 +182,31 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// componentIDs labels every node with its connected component.
+// componentIDs labels every node with its connected component,
+// numbering components in order of their smallest node: one BFS pass
+// over the adjacency slabs with one queue.
 func componentIDs(g *topo.Graph) []int {
+	off, nbrs, _ := g.AdjacencyView()
 	comp := make([]int, g.NumNodes())
 	for i := range comp {
 		comp[i] = -1
 	}
+	queue := make([]topo.NodeID, 0, len(comp))
 	id := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		if comp[u] != -1 {
+	for s := range comp {
+		if comp[s] != -1 {
 			continue
 		}
-		for _, v := range g.ComponentOf(topo.NodeID(u)) {
-			comp[v] = id
+		comp[s] = id
+		queue = append(queue[:0], topo.NodeID(s))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range nbrs[off[u]:off[u+1]] {
+				if comp[v] == -1 {
+					comp[v] = id
+					queue = append(queue, v)
+				}
+			}
 		}
 		id++
 	}

@@ -101,6 +101,44 @@ func TestGeneratorBasicShape(t *testing.T) {
 	}
 }
 
+// TestComponentIDsMatchComponentOf checks the one-pass labelling
+// against per-component ComponentOf calls: components numbered in
+// order of their smallest node, on graphs with isolated nodes and
+// interleaved node IDs.
+func TestComponentIDsMatchComponentOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(300)
+		g := topo.New(n)
+		for i := rng.Intn(n); i > 0; i-- {
+			a, b := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
+			if a != b {
+				g.MustAddChannel(a, b)
+			}
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = -1
+		}
+		id := 0
+		for u := 0; u < n; u++ {
+			if want[u] != -1 {
+				continue
+			}
+			for _, v := range g.ComponentOf(topo.NodeID(u)) {
+				want[v] = id
+			}
+			id++
+		}
+		got := componentIDs(g)
+		for u := range want {
+			if got[u] != want[u] {
+				t.Fatalf("trial %d (n=%d): node %d labelled %d, want %d", trial, n, u, got[u], want[u])
+			}
+		}
+	}
+}
+
 func TestGeneratorRespectsComponents(t *testing.T) {
 	// Two disconnected cliques: payments must stay within one.
 	g := topo.New(10)
