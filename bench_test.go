@@ -251,7 +251,7 @@ func buildFanNetwork(b *testing.B, paths int, capacity float64) (*flash.Network,
 // sequential Algorithm 1 loop (k round trips, one at a time); wider
 // pools overlap the round trips, so latency should fall roughly with
 // the pool width until the path budget rounds out. Recorded by the CI
-// bench step into BENCH_*.json — this is the perf trajectory series
+// bench step into BENCH_ci.json — this is the perf trajectory series
 // for elephant probing.
 func BenchmarkParallelProbe(b *testing.B) {
 	const (
@@ -374,7 +374,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 	// Scale axis: the snapshot-scale configuration — Flash routing over
 	// Ripple-like graphs of 1k/10k/100k nodes with light churn and
 	// LRU-bounded routing tables. The 10k cell is the scale benchmark's
-	// reference point (BENCH_scale.json in CI); the 100k cell runs a
+	// reference point (BENCH_ci.json in CI); the 100k cell runs a
 	// reduced payment count so one iteration stays CI-sized, and mainly
 	// guards peak memory (CSR adjacency + flat probe state + bounded
 	// tables keep a 100k-node run within single-digit-GB RSS).
@@ -418,17 +418,17 @@ func BenchmarkDynamicEngine(b *testing.B) {
 // BenchmarkAdaptiveThreshold measures the rolling-quantile adaptive
 // elephant threshold on the dynamic engine's arrival hot path. The
 // estimator-add cell is the raw per-arrival cost (one P² marker
-// update, O(1) memory, zero allocations); the adaptive=off/on cells
+// update, O(1) memory, zero allocations); the control=off/raw cells
 // run the same seeded Flash demand-drift workload through RunDynamic
-// with the adaptive machinery disabled and enabled — off must show no
-// measurable regression against the pre-adaptive engine (the arrival
-// path adds only a nil check), and on charges one estimator update per
-// arrival plus one quantile re-calibration per threshold window. The
-// on-cell's events/sec delta also includes the *intended* routing-mix
-// change (the re-calibrated threshold routes the post-shift top decile
-// through the elephant algorithm), so the estimator-add cell is the
-// number to read for pure overhead. Recorded by the CI bench step into
-// BENCH_adaptive_threshold.json.
+// without controllers and under the raw threshold policy — off must
+// show no measurable regression against the pre-adaptive engine (the
+// arrival path adds only a nil check), and raw charges one estimator
+// update per arrival plus one quantile re-calibration per control
+// window. The raw cell's events/sec delta also includes the *intended*
+// routing-mix change (the re-calibrated threshold routes the
+// post-shift top decile through the elephant algorithm), so the
+// estimator-add cell is the number to read for pure overhead. Recorded
+// by the CI bench step into BENCH_ci.json.
 func BenchmarkAdaptiveThreshold(b *testing.B) {
 	b.Run("estimator-add", func(b *testing.B) {
 		est := stats.NewQuantileEstimator(0.9)
@@ -443,8 +443,8 @@ func BenchmarkAdaptiveThreshold(b *testing.B) {
 			est.Add(amounts[i%len(amounts)])
 		}
 	})
-	for _, adaptive := range []bool{false, true} {
-		b.Run(fmt.Sprintf("adaptive=%v", adaptive), func(b *testing.B) {
+	for _, policy := range []string{"off", "raw"} {
+		b.Run("control="+policy, func(b *testing.B) {
 			const rate = 500 // arrivals per virtual second
 			sc := flash.DynamicScenario{
 				Name:              "bench",
@@ -455,9 +455,11 @@ func BenchmarkAdaptiveThreshold(b *testing.B) {
 				Rate:              rate,
 				DemandShiftFactor: 0.25,
 				DemandShiftFrac:   0.5,
-				AdaptiveThreshold: adaptive,
 				Schemes:           []string{flash.SchemeFlash},
 				Seed:              1,
+			}
+			if policy == "raw" {
+				sc.Control = &flash.ControlPolicy{Threshold: policy}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -482,7 +484,7 @@ func BenchmarkAdaptiveThreshold(b *testing.B) {
 // adds only a nil check, so it must show no measurable regression.
 // control=ewma runs the EWMA-smoothed global threshold alone — one
 // estimator update per arrival plus one confidence-gated observe pass
-// per window (the legacy-equivalent cost). control=full adds the
+// per window (the same cost as the raw policy). control=full adds the
 // per-sender estimator shards and the probe-width policy: per arrival
 // the amount feeds both the global and the sender's estimator, and
 // each window's observe pass walks every tracked sender. The
@@ -490,7 +492,7 @@ func BenchmarkAdaptiveThreshold(b *testing.B) {
 // (re-calibrated thresholds route the post-shift top decile through
 // the elephant algorithm), so cross-cell comparisons read policy cost
 // plus policy effect. Recorded by the CI bench step into
-// BENCH_control.json.
+// BENCH_ci.json.
 func BenchmarkControlPlane(b *testing.B) {
 	const rate = 500 // arrivals per virtual second
 	cells := []struct {
@@ -549,7 +551,7 @@ func BenchmarkControlPlane(b *testing.B) {
 // JSONL file export on top, whose per-record JSON text encoding is the
 // dominating extra cost (it runs on the sink's background writer
 // goroutine, so on multi-core hosts it overlaps the engine).
-// Recorded by the CI bench step into BENCH_telemetry.json.
+// Recorded by the CI bench step into BENCH_ci.json.
 func BenchmarkTelemetry(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := flash.DynamicScenario{
@@ -612,7 +614,7 @@ func BenchmarkTelemetry(b *testing.B) {
 // every span that cannot settle inside the deadline (the 0.1s
 // deadline against a 0.05s mean service time expires ~13% of spans,
 // so the expiry path is genuinely exercised). Recorded by the CI
-// bench step into BENCH_latency.json.
+// bench step into BENCH_ci.json.
 func BenchmarkLatencyModel(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := flash.DynamicScenario{

@@ -26,15 +26,14 @@ import (
 
 func main() {
 	var (
-		figs        = flag.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
-		full        = flag.Bool("full", false, "paper-scale parameters (slower)")
-		seed        = flag.Int64("seed", 1, "base random seed")
-		workers     = flag.Int("workers", 0, "goroutines for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
-		probeW      = flag.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
-		adaptiveThr = flag.Bool("adaptivethreshold", false, "re-calibrate Flash's elephant threshold on a rolling quantile in every dynamic-scenario cell")
-		ctrl        = flag.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
-		topology    = flag.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
-		telAddr     = flag.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")
+		figs     = flag.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
+		full     = flag.Bool("full", false, "paper-scale parameters (slower)")
+		seed     = flag.Int64("seed", 1, "base random seed")
+		workers  = flag.Int("workers", 0, "goroutines for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
+		probeW   = flag.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
+		ctrl     = flag.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
+		topology = flag.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
+		telAddr  = flag.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")
 	)
 	flag.Parse()
 
@@ -50,7 +49,7 @@ func main() {
 		fmt.Printf("# telemetry on http://%s/metrics\n", srv.Addr())
 	}
 
-	o := exp.Options{Full: *full, Seed: *seed, Out: os.Stdout, Workers: *workers, ProbeWorkers: *probeW, AdaptiveThreshold: *adaptiveThr, Topology: *topology}
+	o := exp.Options{Full: *full, Seed: *seed, Out: os.Stdout, Workers: *workers, ProbeWorkers: *probeW, Topology: *topology}
 	if *ctrl != "" {
 		policy, err := control.ParsePolicy(*ctrl)
 		if err != nil {

@@ -129,14 +129,16 @@
 //     them; a suspended payment whose channel churns away mid-span
 //     aborts HTLC-timeout style (DynamicResult.SpanAborts). Service =
 //     0 preserves the atomic-at-dispatch behaviour byte-for-byte.
-//   - The adaptive elephant threshold
-//     (DynamicOptions.AdaptiveThreshold, -adaptivethreshold) feeds
-//     every arrival amount through a streaming P² quantile estimator
-//     and re-calibrates Flash's mice/elephant split to the rolling
-//     90%-mice quantile on a ThresholdWindow cadence
-//     (core.Flash.SetThreshold) — the paper's per-workload threshold
-//     calibration kept true under demand drift. Re-calibrations are
-//     ThresholdUpdate events carrying the effective threshold, so the
+//   - The adaptive control plane (DynamicOptions.Control, -control,
+//     cadence -thresholdwindow) re-tunes Flash's runtime knobs from
+//     per-window metrics. Its raw threshold policy feeds every arrival
+//     amount through a streaming P² quantile estimator and
+//     re-calibrates Flash's mice/elephant split to the rolling
+//     90%-mice quantile (core.Flash.SetThreshold) — the paper's
+//     per-workload threshold calibration kept true under demand
+//     drift; "ewma", "sender" and "width" smooth it, shard it per
+//     sender and tune the probe width. Every applied decision is a
+//     ControlUpdate event carrying the effective value, so the
 //     adaptive trajectory is part of the log fingerprint; off, the
 //     engine is byte-identical to the fixed-threshold behaviour.
 //   - The virtual latency model (DynamicScenario.LatencyMedian,

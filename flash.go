@@ -169,7 +169,6 @@ const (
 	EventRebalance       = event.Rebalance
 	EventDemandShift     = event.DemandShift
 	EventFeeShift        = event.FeeShift
-	EventThresholdUpdate = event.ThresholdUpdate
 	EventControlUpdate   = event.ControlUpdate
 )
 

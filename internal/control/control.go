@@ -1,10 +1,8 @@
 // Package control is the simulator's adaptive control plane: a
 // deterministic feedback layer that owns every runtime-tuned routing
-// knob. Before it, adaptivity was scattered — the P² elephant
-// threshold was recalibrated inline in the dynamic engine, probe width
-// was a static flag even though wider probing costs virtual time and
-// messages, and retry backoff was hard-coded. Here each knob is moved
-// behind one contract:
+// knob — the elephant threshold (global and per sender), the
+// speculative probe width, which costs virtual time and messages, and
+// the retry backoff. Each knob sits behind one contract:
 //
 //	Controller: Observe(window Metrics) []Decision
 //
@@ -37,9 +35,8 @@
 //     under-fills elephant demand, and narrows it back when the probe
 //     message budget says speculation isn't paying.
 //
-// RawThreshold reproduces the original inline recalibration exactly
-// (same estimator, same gates) so the legacy AdaptiveThreshold option
-// remains byte-identical through the refactor.
+// RawThreshold is the unsmoothed policy: the per-window P² estimate
+// becomes the threshold as is. The demand-drift scenario runs it.
 package control
 
 import (

@@ -13,8 +13,8 @@ import (
 // many runs without sharing estimator state.
 type Policy struct {
 	// Threshold selects the global threshold policy: "" (off), "raw"
-	// (the PR-5 per-window swap, what the legacy AdaptiveThreshold
-	// option maps to) or "ewma" (confidence-gated smoothing).
+	// (the unsmoothed per-window swap) or "ewma" (confidence-gated
+	// smoothing).
 	Threshold string
 	// PerSender enables the sharded per-sender threshold policy.
 	PerSender bool

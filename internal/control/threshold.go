@@ -8,15 +8,14 @@ import (
 )
 
 // RawThreshold re-calibrates the global elephant threshold to the
-// arrival stream's mice-fraction quantile once per window — the exact
-// policy the dynamic engine ran inline before the control plane
-// existed (PR 5's AdaptiveThreshold): a P² estimator accumulates every
-// first-attempt arrival amount, and at each window boundary with at
-// least MinSamples observations the current estimate is swapped in
-// (and the estimator reset so the next estimate tracks the current
-// regime, not the whole history). No smoothing, no confidence gate:
-// whatever the window estimated becomes the threshold, which is
-// faithful to drift but wobbles on heavy-tailed streams.
+// arrival stream's mice-fraction quantile once per window: a P²
+// estimator accumulates every first-attempt arrival amount, and at
+// each window boundary with at least MinSamples observations the
+// current estimate is swapped in (and the estimator reset so the next
+// estimate tracks the current regime, not the whole history). No
+// smoothing, no confidence gate: whatever the window estimated becomes
+// the threshold, which is faithful to drift but wobbles on
+// heavy-tailed streams.
 type RawThreshold struct {
 	est        *stats.QuantileEstimator
 	minSamples int

@@ -54,10 +54,12 @@ const (
 	// FeeShift rescales a channel's fee schedules (both directions) by
 	// a factor — a node repricing its channels mid-run (a fee war).
 	FeeShift
-	// ThresholdUpdate records an adaptive elephant-threshold
-	// re-calibration: the engine's rolling quantile estimator swapped
-	// (or re-confirmed) the router's classification threshold. Emitted
-	// by the engine itself, never by churn schedules.
+	// ThresholdUpdate is reserved and no longer emitted: threshold
+	// re-calibrations are ControlUpdate decisions. The kind keeps its
+	// number and name because Log.Fingerprint folds the kind code into
+	// every entry — renumbering the kinds after it would change every
+	// fingerprint with expiries or controllers — and per-kind counters
+	// keep reporting it as zero. Churn schedules may not contain it.
 	ThresholdUpdate
 	// DeadlineExpiry is a held payment hitting its HTLC-style expiry
 	// deadline before its commit could settle: the hold is torn down,
@@ -67,10 +69,10 @@ const (
 	// ControlUpdate records one applied control-plane decision (or the
 	// cadence tick that triggers the observe/decide pass): a runtime
 	// knob — threshold, per-sender threshold, probe width, retry
-	// backoff — moved to a new value. Like ThresholdUpdate, the applied
-	// decisions are stamped into the log before recording, so the
-	// fingerprint covers the whole adaptive trajectory. Emitted by the
-	// engine itself, never by churn schedules.
+	// backoff — moved to a new value. The applied decisions are stamped
+	// with their effective values before recording, so the fingerprint
+	// covers the whole adaptive trajectory. Emitted by the engine
+	// itself, never by churn schedules.
 	ControlUpdate
 
 	// NumKinds is the number of event kinds (for per-kind counters).
@@ -116,9 +118,6 @@ func (k Kind) String() string {
 //   - DemandShift: Amount is the new payment-amount scale factor.
 //   - FeeShift: A and B are the channel endpoints, Amount the factor
 //     both directions' fee schedules are multiplied by.
-//   - ThresholdUpdate: Amount is the effective elephant threshold
-//     after the re-calibration (stamped by the engine when applied, so
-//     the log fingerprint covers the adaptive trajectory).
 //   - DeadlineExpiry: ID is the payment ID and Attempt the retry
 //     attempt whose hold expired.
 //   - ControlUpdate: ID is the knob code of the applied decision
@@ -145,8 +144,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("t=%.6f %s %d-%d amt=%g", e.Time, e.Kind, e.A, e.B, e.Amount)
 	case DemandShift:
 		return fmt.Sprintf("t=%.6f %s factor=%g", e.Time, e.Kind, e.Amount)
-	case ThresholdUpdate:
-		return fmt.Sprintf("t=%.6f %s thr=%g", e.Time, e.Kind, e.Amount)
 	case ControlUpdate:
 		return fmt.Sprintf("t=%.6f %s knob=%d sender=%d value=%g", e.Time, e.Kind, e.ID, e.A, e.Amount)
 	default:

@@ -45,18 +45,12 @@ type Options struct {
 	// latency. Tables stay deterministic for a fixed value.
 	ProbeWorkers int
 
-	// AdaptiveThreshold forces the rolling-quantile adaptive elephant
-	// threshold on in every dynamic-scenario cell
-	// (sim.DynamicScenario.AdaptiveThreshold). Off, only the scenarios
-	// whose catalogue preset enables it (demand-drift) adapt. Tables
-	// stay deterministic either way.
-	AdaptiveThreshold bool
-
 	// Control, when non-nil, installs this adaptive control-plane
-	// policy in every dynamic-scenario cell (sim.DynamicScenario.Control)
-	// — the generalisation of AdaptiveThreshold to the full knob set
-	// (EWMA-smoothed or raw global threshold, per-sender thresholds,
-	// probe width). Tables stay deterministic for a fixed policy.
+	// policy in every dynamic-scenario cell (sim.DynamicScenario.Control):
+	// EWMA-smoothed or raw global threshold, per-sender thresholds,
+	// probe width. nil keeps each scenario's preset, so only
+	// demand-drift adapts (raw threshold). Tables stay deterministic for
+	// a fixed policy.
 	Control *control.Policy
 
 	// Topology, when non-empty, replaces every figure's generated

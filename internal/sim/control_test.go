@@ -10,7 +10,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // TestControlOffMatchesSeedGolden is the tentpole's feature-off pin:
@@ -28,7 +27,7 @@ func TestControlOffMatchesSeedGolden(t *testing.T) {
 			if res.EventCounts[event.ControlUpdate] != 0 || res.EventCounts[event.ThresholdUpdate] != 0 {
 				t.Errorf("%s/%s: control events applied with the plane off", kind, name)
 			}
-			if res.ControlOn || res.AdaptiveView {
+			if res.ControlOn {
 				t.Errorf("%s/%s: result advertises a control plane that never ran", kind, name)
 			}
 			var buf bytes.Buffer
@@ -44,47 +43,89 @@ func TestControlOffMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestControlRawMatchesLegacyAdaptive pins the compat shim: the
-// -control raw policy must replay the legacy AdaptiveThreshold mode's
-// event stream byte-for-byte — same fingerprint, same rendered bytes,
-// same ThresholdUpdate events — because it IS the same policy, moved
-// behind the Controller contract.
+// TestControlRawMatchesLegacyAdaptive pins the demand-drift preset,
+// which runs Flash under the raw threshold policy, to the adaptive
+// trajectory of the engine's original inline re-calibration, recorded
+// before that path was folded into the control plane: the same routing
+// (aggregate metrics), the same threshold per window, the same swaps
+// and the same re-classification view. Only the fingerprint moved,
+// because the log now carries ControlUpdate ticks and decisions where
+// it carried one stamped ThresholdUpdate per tick (recorded value
+// 80f92e720f89f086); the new value is pinned too.
 func TestControlRawMatchesLegacyAdaptive(t *testing.T) {
-	run := func(mutate func(*DynamicScenario)) DynamicSchemeResult {
-		sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
-		if err != nil {
-			t.Fatal(err)
+	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Control == nil || sc.Control.Spec() != "raw" {
+		t.Fatalf("demand-drift preset control = %+v, want the raw threshold policy", sc.Control)
+	}
+	sc.Duration = 20
+	sc.Schemes = []string{SchemeFlash}
+	sc.Seed = 11
+	results, err := RunDynamicScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0].Result
+
+	wantAgg := Metrics{Payments: 467, Successes: 431,
+		SuccessVolume: 30626.147275877804, AttemptVolume: 73141.97713714659,
+		FeesPaid: 1059.0428825531328, ProbeMessages: 5190, CommitMessages: 8800,
+		MicePayments: 425, MiceSuccesses: 403, MiceSuccessVolume: 3944.5011320314306, MiceProbeMessages: 2472,
+		ElephantPayments: 42, ElephantSuccesses: 28, ElephantSuccessVol: 26681.646143846367, ElephantProbeMsgs: 2718}
+	if got := stripDelays(res.Aggregate); got != wantAgg {
+		t.Errorf("aggregate diverged from the recorded run:\n got  %+v\n want %+v", got, wantAgg)
+	}
+	wantAdaptive := wantAgg
+	wantAdaptive.MicePayments, wantAdaptive.MiceSuccesses = 426, 404
+	wantAdaptive.MiceSuccessVolume, wantAdaptive.MiceProbeMessages = 4891.696631545747, 2460
+	wantAdaptive.ElephantPayments, wantAdaptive.ElephantSuccesses = 41, 27
+	wantAdaptive.ElephantSuccessVol, wantAdaptive.ElephantProbeMsgs = 25734.450644332053, 2730
+	if got := stripDelays(res.Adaptive); got != wantAdaptive {
+		t.Errorf("adaptive view diverged from the recorded run:\n got  %+v\n want %+v", got, wantAdaptive)
+	}
+	if res.ThresholdUpdates != 9 || res.FinalThreshold != 373.9416665598844 {
+		t.Errorf("threshold updates %d, final %v; want 9, 373.9416665598844", res.ThresholdUpdates, res.FinalThreshold)
+	}
+
+	// Per window: the effective threshold and the re-classified
+	// mice ok/tot, elephant ok/tot counts.
+	want := []struct {
+		thr                          float64
+		mice, miceOK, eleph, elephOK int
+	}{
+		{222.37347610837693, 48, 48, 5, 3},
+		{597.5657171975246, 46, 43, 8, 3},
+		{2042.4889641920572, 41, 40, 1, 0},
+		{47.01633951539979, 36, 33, 6, 4},
+		{419.8166345080583, 44, 40, 3, 1},
+		{621.1245752773058, 47, 42, 3, 3},
+		{347.5025253034492, 44, 42, 5, 4},
+		{219.6235175153891, 54, 52, 5, 5},
+		{32.641642622552496, 27, 27, 4, 3},
+		{373.9416665598844, 39, 37, 1, 1},
+	}
+	if len(res.Windows) != len(want) {
+		t.Fatalf("%d windows, want %d", len(res.Windows), len(want))
+	}
+	for i, w := range res.Windows {
+		a := w.Adaptive
+		if w.Threshold != want[i].thr || a.MicePayments != want[i].mice || a.MiceSuccesses != want[i].miceOK ||
+			a.ElephantPayments != want[i].eleph || a.ElephantSuccesses != want[i].elephOK {
+			t.Errorf("window %d: threshold %v, mice %d/%d, elephants %d/%d; want %+v",
+				i, w.Threshold, a.MiceSuccesses, a.MicePayments, a.ElephantSuccesses, a.ElephantPayments, want[i])
 		}
-		sc.Duration = 20
-		sc.Schemes = []string{SchemeFlash}
-		sc.Seed = 11
-		mutate(&sc)
-		results, err := RunDynamicScenario(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results[0]
 	}
-	legacy := run(func(sc *DynamicScenario) {}) // catalogue preset: AdaptiveThreshold on
-	viaControl := run(func(sc *DynamicScenario) {
-		sc.AdaptiveThreshold = false
-		sc.Control = &control.Policy{Threshold: "raw", MiceFraction: sc.MiceFraction}
-	})
-	if legacy.Result.Fingerprint != viaControl.Result.Fingerprint {
-		t.Fatalf("raw control policy diverged from legacy adaptive mode: %016x vs %016x",
-			legacy.Result.Fingerprint, viaControl.Result.Fingerprint)
+
+	if res.EventCounts[event.ThresholdUpdate] != 0 {
+		t.Error("reserved ThresholdUpdate events emitted")
 	}
-	if legacy.Result.EventCounts[event.ThresholdUpdate] == 0 {
-		t.Fatal("legacy run applied no threshold updates — the comparison is vacuous")
+	if got := res.EventCounts[event.ControlUpdate]; got != 9+9 {
+		t.Errorf("ControlUpdate events = %d, want 18 (9 bare ticks + 9 threshold decisions)", got)
 	}
-	if n := viaControl.Result.EventCounts[event.ControlUpdate]; n != 0 {
-		t.Errorf("legacy shim logged %d ControlUpdate events, want the historical ThresholdUpdate stream", n)
-	}
-	var bufA, bufB bytes.Buffer
-	WriteDynamicResult(&bufA, legacy.Scheme, legacy.Result, true)
-	WriteDynamicResult(&bufB, viaControl.Scheme, viaControl.Result, true)
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Errorf("rendered bytes diverged:\n%s\nvs\n%s", bufA.String(), bufB.String())
+	if want := uint64(0x83f4d586fa8f20f7); res.Fingerprint != want {
+		t.Errorf("fingerprint %016x, want %016x", res.Fingerprint, want)
 	}
 }
 
@@ -102,7 +143,6 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 		sc.Duration = 20
 		sc.Schemes = []string{SchemeFlash}
 		sc.Seed = 11
-		sc.AdaptiveThreshold = false
 		sc.Control = &control.Policy{Threshold: "ewma", PerSender: true, ProbeWidth: true,
 			MiceFraction: sc.MiceFraction}
 		results, err := RunDynamicScenario(sc)
@@ -143,14 +183,14 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 	}
 
 	res := a.Result
-	if !res.ControlOn || !res.AdaptiveView {
-		t.Fatalf("general control plane not engaged: ControlOn=%v AdaptiveView=%v", res.ControlOn, res.AdaptiveView)
+	if !res.ControlOn {
+		t.Fatal("general control plane not engaged")
 	}
 	if res.EventCounts[event.ControlUpdate] == 0 {
 		t.Error("no ControlUpdate events in a controlled run")
 	}
 	if res.EventCounts[event.ThresholdUpdate] != 0 {
-		t.Error("general plane leaked legacy ThresholdUpdate events")
+		t.Error("control plane emitted reserved ThresholdUpdate events")
 	}
 	if res.ControlDecisions == 0 {
 		t.Error("no control decisions applied in a drifting scenario")
@@ -186,57 +226,6 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 	}
 }
 
-// demandDriftControlCell is demandDriftCell with an explicit control
-// policy instead of the legacy flag — same scenario, same seeds, same
-// fixed metrics threshold, so raw-vs-ewma runs are directly
-// comparable.
-func demandDriftControlCell(t *testing.T, policy *control.Policy, metricsThreshold float64) (DynamicResult, float64) {
-	t.Helper()
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Duration = 40
-	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threshold, err := calibrateThreshold(sc, net.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workloadFor(sc.Kind, net.Graph(), sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := sc.arrivalProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := trace.NewStream(gen, arr, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := buildChurnSchedule(sc, net, nil, newChurnRNG(sc.Seed))
-	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: sc.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metricsThreshold == 0 {
-		metricsThreshold = threshold
-	}
-	res, err := RunDynamic(net, r, stream, sc.Duration, churn, metricsThreshold, DynamicOptions{
-		Workers:      1,
-		Seed:         sc.Seed,
-		Control:      policy,
-		MiceFraction: sc.MiceFraction,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, threshold
-}
-
 // TestControlEWMAFewerSwapsThanRaw is the PR's acceptance criterion:
 // on the demand-drift scenario the EWMA-smoothed threshold policy
 // makes strictly fewer threshold swaps than the raw per-window
@@ -248,11 +237,11 @@ func TestControlEWMAFewerSwapsThanRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, preThreshold := demandDriftCell(t, false, 0)
+	_, preThreshold := demandDriftCell(t, nil, 0)
 	postThreshold := preThreshold * sc.DemandShiftFactor
 
-	raw, _ := demandDriftCell(t, true, postThreshold)
-	ewma, _ := demandDriftControlCell(t, &control.Policy{Threshold: "ewma"}, postThreshold)
+	raw, _ := demandDriftCell(t, &control.Policy{Threshold: "raw"}, postThreshold)
+	ewma, _ := demandDriftCell(t, &control.Policy{Threshold: "ewma"}, postThreshold)
 
 	if raw.ThresholdUpdates == 0 {
 		t.Fatal("raw policy made no swaps — the comparison is vacuous")
@@ -422,8 +411,7 @@ func TestControlUpdateChurnRejected(t *testing.T) {
 }
 
 // TestControlRequiresFlash: control policies tune Flash's knobs; on a
-// knob-less router the plane is simply inert rather than an error —
-// mirrored on the legacy AdaptiveThreshold behaviour.
+// knob-less router the plane is simply inert rather than an error.
 func TestControlRequiresFlash(t *testing.T) {
 	g := topo.New(3)
 	g.MustAddChannel(0, 1)

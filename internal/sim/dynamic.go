@@ -66,54 +66,20 @@ type DynamicOptions struct {
 	// there surface after the service time, like any station model.)
 	Service float64
 
-	// AdaptiveThreshold enables the rolling-quantile adaptive elephant
-	// threshold: every first-attempt arrival amount feeds a streaming
-	// P² quantile estimator (stats.QuantileEstimator), and on a
-	// ThresholdWindow cadence the engine re-calibrates the router's
-	// classification threshold to the estimator's MiceFraction-quantile
-	// via core.Flash.SetThreshold — the paper's "set per workload"
-	// calibration (§4.1), kept true under demand drift instead of
-	// pinned at t = 0. Only Flash routers adapt; the option is a no-op
-	// for every other scheme. Off — the default — leaves the engine
-	// byte-identical to the historical behaviour; on with Workers ≤ 1
-	// it stays fully deterministic (the estimator is a pure function of
-	// the arrival sequence, and every ThresholdUpdate is stamped into
-	// the event-log fingerprint with its effective threshold).
-	AdaptiveThreshold bool
-
-	// ThresholdWindow is the adaptive re-calibration cadence in virtual
-	// seconds; 0 defaults to the time-series Window. Each boundary that
-	// has seen at least adaptiveMinSamples arrivals since the last swap
-	// re-calibrates and resets the estimator, so the threshold tracks
-	// the current demand regime rather than the whole history (a
-	// rolling quantile); sparser boundaries keep accumulating.
-	ThresholdWindow float64
-
-	// MiceFraction is the workload quantile the adaptive threshold
-	// tracks; 0 (or any value outside (0, 1)) defaults to 0.9, the
-	// paper's 90%-mice calibration. Only consulted when
-	// AdaptiveThreshold is on.
-	MiceFraction float64
-
 	// Control selects the adaptive control plane (internal/control): a
 	// declarative policy whose controllers observe per-window metrics
-	// on the control cadence (Policy.Window, else ThresholdWindow, else
-	// Window) and re-tune the router's runtime knobs — global and
-	// per-sender elephant thresholds, speculative probe width, retry
-	// backoff. nil (or the zero policy) runs no controllers.
-	// AdaptiveThreshold is the compat shim over this: it maps to the
-	// "raw" threshold policy, and that policy alone replays the
-	// pre-control-plane event stream byte for byte. Only Flash routers
-	// have knobs; for every other scheme the plane is inert. Every
-	// applied decision is recorded as a fingerprinted
-	// event.ControlUpdate, so controllers-on runs replay identically at
-	// Workers ≤ 1.
+	// on the control cadence (Policy.Window, else Window) and re-tune
+	// the router's runtime knobs — global and per-sender elephant
+	// thresholds, speculative probe width, retry backoff. nil (or the
+	// zero policy) runs no controllers. Only Flash routers have knobs;
+	// for every other scheme the plane is inert. Every applied decision
+	// is recorded as a fingerprinted event.ControlUpdate, so
+	// controllers-on runs replay identically at Workers ≤ 1.
 	Control *control.Policy
 
 	// controlHook appends scripted controllers to the resolved plane —
 	// the test seam for exercising decision application (knob coverage,
-	// per-sender swaps, backoff scaling) without a full policy. Always
-	// takes the general control path, never the legacy shim. nil in
+	// per-sender swaps, backoff scaling) without a full policy. nil in
 	// production.
 	controlHook []control.Controller
 
@@ -160,7 +126,8 @@ type DynamicOptions struct {
 	Registry *telemetry.Registry
 
 	// audit, when non-nil, receives one schedAudit per settle/expiry/
-	// retry scheduling decision at Workers ≤ 1 — the exact components
+	// retry scheduling decision — at dispatch on the single station, at
+	// harvest on concurrent stations — with the exact components
 	// (latency, service, resume, backoff) that produced each event
 	// time, so property tests can re-derive every completion instant
 	// bit for bit. Test hook; nil in production.
@@ -171,10 +138,13 @@ type DynamicOptions struct {
 // DynamicOptions.audit test hook: the components whose exact float64
 // sum (At + Lat + Service + ResumeLat, or At + Lat + Deadline for an
 // expiry, or At + Backoff for a retry) is the scheduled event's time.
+// A concurrent station decides at harvest, one service time after
+// dispatch, and never schedules before that instant: there EventAt is
+// the sum or the harvest instant, whichever is later.
 type schedAudit struct {
 	ID        int64
 	Attempt   int
-	At        float64 // decision instant (dispatch or settle time)
+	At        float64 // decision origin (dispatch instant, or settle time for a retry)
 	Lat       float64 // attempt probe+commit virtual latency, seconds
 	Service   float64 // effective virtual service time (0 for failed holds)
 	ResumeLat float64 // settle-leg latency of the suspended span
@@ -183,12 +153,6 @@ type schedAudit struct {
 	Expired   bool    // scheduled as a DeadlineExpiry
 	Retry     bool    // retry record: EventAt = At + Backoff
 }
-
-// adaptiveMinSamples is the fewest arrivals a re-calibration boundary
-// must have seen before the adaptive threshold swaps: below it the
-// quantile estimate is noise, so the boundary keeps accumulating
-// instead.
-const adaptiveMinSamples = 20
 
 // griefSalt decorrelates the griefer-marking hash (trace.HashUnit over
 // the payment ID) from the per-payment routing seeds, which are
@@ -203,9 +167,9 @@ type Window struct {
 	Start, End float64 // virtual seconds
 
 	// Threshold is the effective elephant classification threshold as
-	// of the last re-calibration that touched this window (its value at
+	// of the last control tick that touched this window (its value at
 	// creation until one lands inside it) — constant at the calibrated
-	// value unless DynamicOptions.AdaptiveThreshold re-calibrates it
+	// value unless a control plane (DynamicOptions.Control) moves it
 	// mid-run, in which case the column shows the drift the router
 	// tracked.
 	Threshold float64
@@ -219,8 +183,7 @@ type Window struct {
 	// fixed metrics threshold. The two diverge exactly where the
 	// control plane moved a threshold mid-run; comparing them shows
 	// what the adaptation re-labelled. Populated only when a control
-	// plane (or the AdaptiveThreshold shim) ran
-	// (DynamicResult.AdaptiveView).
+	// plane ran (DynamicResult.ControlOn).
 	Adaptive Metrics
 
 	// Latency summarises the completion latency (virtual completion −
@@ -245,29 +208,23 @@ type DynamicResult struct {
 	// mode only; see DynamicOptions.Service).
 	SpanAborts int
 
-	// ThresholdUpdates counts adaptive re-calibrations that actually
-	// moved the router's elephant threshold, and FinalThreshold is the
+	// ThresholdUpdates counts control decisions that actually moved the
+	// router's global elephant threshold, and FinalThreshold is the
 	// effective threshold when the run ended (the initial routing
-	// threshold when the adaptive mode is off or never re-calibrated).
+	// threshold when no controller moved it).
 	ThresholdUpdates int
 	FinalThreshold   float64
 
-	// ControlOn reports whether the general control plane drove the run
-	// (false for runs without controllers and for the legacy
-	// AdaptiveThreshold shim, which replays the pre-control-plane event
-	// stream). ControlDecisions counts applied decisions across all
-	// knobs, and Controllers is the per-knob rollup (decision count and
-	// last effective value) for knobs that decided at least once.
+	// ControlOn reports whether a control plane drove the run; then
+	// Adaptive here and on every Window classify completions against
+	// the threshold in effect when each completed. ControlDecisions
+	// counts applied decisions across all knobs, and Controllers is the
+	// per-knob rollup (decision count and last effective value) for
+	// knobs that decided at least once.
 	ControlOn        bool
 	ControlDecisions int
 	Controllers      []ControlKnobStatus
-
-	// AdaptiveView reports whether the per-window re-classification
-	// view is populated (any control plane ran, the legacy shim
-	// included): Adaptive here and on every Window then classify
-	// completions against the threshold in effect when each completed.
-	AdaptiveView bool
-	Adaptive     Metrics
+	Adaptive         Metrics
 
 	// LatencyOn reports whether the run carried a virtual latency model
 	// (per-channel RTTs on the network, or a hold-span deadline): when
@@ -303,11 +260,12 @@ type dynPayment struct {
 	attempt     int
 	arrival     float64          // first-attempt virtual arrival instant
 	dispatched  float64          // latest attempt's dispatch instant
+	service     float64          // latest attempt's effective virtual service time
 	spanAborted bool             // latest attempt aborted at span resume
 	expired     bool             // latest attempt expired at its deadline
 	total       routeOutcome     // accumulated across attempts
 	done        chan routeResult // non-nil while in service on a goroutine
-	inline      routeResult      // outcome when routed inline (Workers ≤ 1)
+	inline      routeResult      // latest attempt's outcome, once known
 }
 
 type routeResult struct {
@@ -359,52 +317,6 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			return DynamicResult{}, fmt.Errorf("sim: payment source: %w", err)
 		}
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	window := opts.Window
-	if window <= 0 {
-		window = horizon / 10
-	}
-	res := DynamicResult{Horizon: horizon}
-	fl, _ := r.(*core.Flash) // nil for non-Flash routers
-	obs := newDynObserver(r.Name(), opts.FlowSink, opts.Registry)
-
-	queue := event.NewQueue()
-	var clock event.Clock
-	log := event.Log{Retain: opts.RecordLog}
-	seeded := workers > 1
-	// spans: Service > 0 splits payments into hold-phase and
-	// commit-phase events with funds locked in between (see
-	// DynamicOptions.Service). Service = 0 keeps the atomic-at-dispatch
-	// path, bit-identical to the pre-hold-span engine.
-	spans := opts.Service > 0
-
-	// Virtual latency model: per-channel RTTs on the network shift
-	// every settle event by the attempt's charged probe/commit legs;
-	// Deadline > 0 arms HTLC-style expiry of hold spans. Both off — the
-	// default — leave every event time and the schedule stream
-	// byte-identical to the latency-free engine (the latency terms are
-	// exact float zeros, never drawn).
-	latOn := net.HasLatency()
-	deadline := opts.Deadline
-	if deadline < 0 || !spans {
-		deadline = 0
-	}
-	latencyReport := latOn || deadline > 0
-	res.LatencyOn = latencyReport
-	res.Deadline = deadline
-	grief := opts.GriefFrac
-	if !spans || grief < 0 {
-		grief = 0
-	}
-
-	// Schedule randomness (service times, retry backoffs) is its own
-	// seeded stream, independent of routing, so event timestamps do not
-	// depend on routing outcomes.
-	schedRNG := rand.New(rand.NewSource(paymentSeed(opts.Seed, 0x5C4ED)))
-
 	for _, e := range churn {
 		switch e.Kind {
 		case event.ChannelOpen, event.ChannelClose, event.Rebalance:
@@ -414,515 +326,590 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			// non-positive factors — so reject it here at schedule-ingest
 			// time, mirroring ArrivalProcess.Validate.
 			if err := validShiftFactor(e.Kind, e.Amount); err != nil {
-				return res, err
+				return DynamicResult{}, err
 			}
 		default:
-			return res, fmt.Errorf("sim: churn schedule contains %v event", e.Kind)
-		}
-		if e.Time < horizon {
-			queue.Schedule(e)
+			return DynamicResult{}, fmt.Errorf("sim: churn schedule contains %v event", e.Kind)
 		}
 	}
 
-	pending := make(map[int64]*dynPayment)
-	var (
-		busy  int
-		waitQ []int64 // payment IDs awaiting a free station, FIFO
-	)
+	g, err := newEngine(net, r, src, horizon, churn, miceThreshold, opts)
+	if err != nil {
+		return DynamicResult{}, err
+	}
+	for g.queue.Len() > 0 {
+		e, _ := g.queue.Pop()
+		g.clock.AdvanceTo(e.Time)
+		g.log.Record(e)
+		switch e.Kind {
+		case event.PaymentArrival:
+			g.arrival(e)
+		case event.PaymentComplete, event.DeadlineExpiry:
+			err = g.settle(e)
+		case event.ChannelClose, event.ChannelOpen, event.Rebalance, event.FeeShift:
+			err = g.churn(e)
+		case event.DemandShift:
+			g.demandShift(e)
+		case event.ControlUpdate:
+			g.controlTick(e)
+		}
+		if err != nil {
+			return g.result(), err
+		}
+	}
+	return g.result(), nil
+}
 
-	// The engine's current routing threshold: the router's own value
-	// for Flash (the adaptive mode moves it), the metrics threshold
-	// otherwise. Reported per window and as FinalThreshold.
-	curThreshold := miceThreshold
+// engine is one RunDynamic run: the event loop's state and the
+// resolved settings it runs under. Every handler method runs on the
+// loop goroutine; only station reads engine fields off it, and only
+// ones fixed at construction.
+type engine struct {
+	net           *pcn.Network
+	r             route.Router
+	fl            *core.Flash // r as Flash, nil for other schemes
+	src           trace.PaymentSource
+	opts          DynamicOptions
+	horizon       float64
+	miceThreshold float64 // fixed classification threshold of Metrics
+
+	workers    int
+	seeded     bool    // per-payment session RNGs (concurrent stations)
+	spans      bool    // hold spans: Service > 0
+	latOn      bool    // the network carries per-channel RTTs
+	deadline   float64 // hold-span expiry, 0 = none
+	grief      float64 // griefer fraction, 0 = none
+	window     float64 // time-series bucket width
+	lastWindow int     // index of the final bucket
+	ctlWindow  float64 // control cadence
+
+	queue    *event.Queue
+	clock    event.Clock
+	log      event.Log
+	schedRNG *rand.Rand // service times and retry backoffs
+	obs      *dynObserver
+	ctl      *controlState // nil when no controller is engaged
+
+	pending map[int64]*dynPayment
+	busy    int
+	waitQ   []int64 // payment IDs awaiting a free station, FIFO
+
+	srcDone   bool
+	lookahead *dynPayment // the one sampled, not yet arrived payment
+	curScale  float64     // demand scale the look-ahead was sampled at
+
+	// curThreshold is the router's current global threshold: Flash's
+	// own value (controllers move it), the metrics threshold otherwise.
+	// backoffScale multiplies the retry backoff; exactly 1.0 unless a
+	// KnobRetryBackoff decision moves it, so control-off runs compute
+	// bit-identical backoffs.
+	curThreshold float64
+	backoffScale float64
+
+	res DynamicResult
+}
+
+// newEngine resolves opts against the network and router, schedules
+// the churn, the first control tick and the first arrival — in that
+// order, which fixes the Seq tie-break among same-instant events —
+// and returns the engine ready to loop.
+func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizon float64, churn []event.Event, miceThreshold float64, opts DynamicOptions) (*engine, error) {
+	fl, _ := r.(*core.Flash)
+	g := &engine{
+		net: net, r: r, fl: fl, src: src, opts: opts,
+		horizon: horizon, miceThreshold: miceThreshold,
+		workers: max(opts.Workers, 1),
+		seeded:  opts.Workers > 1,
+		// spans: Service > 0 splits payments into hold-phase and
+		// commit-phase events with funds locked in between (see
+		// DynamicOptions.Service). Service = 0 keeps the
+		// atomic-at-dispatch path, bit-identical to the pre-hold-span
+		// engine.
+		spans: opts.Service > 0,
+		// Virtual latency model: per-channel RTTs on the network shift
+		// every settle event by the attempt's charged probe/commit
+		// legs; Deadline > 0 arms HTLC-style expiry of hold spans. Both
+		// off — the default — leave every event time and the schedule
+		// stream byte-identical to the latency-free engine (the latency
+		// terms are exact float zeros, never drawn).
+		latOn:    net.HasLatency(),
+		deadline: opts.Deadline,
+		grief:    opts.GriefFrac,
+		window:   opts.Window,
+		queue:    event.NewQueue(),
+		log:      event.Log{Retain: opts.RecordLog},
+		// Schedule randomness (service times, retry backoffs) is its
+		// own seeded stream, independent of routing, so event
+		// timestamps do not depend on routing outcomes.
+		schedRNG:     rand.New(rand.NewSource(paymentSeed(opts.Seed, 0x5C4ED))),
+		obs:          newDynObserver(r.Name(), opts.FlowSink, opts.Registry),
+		pending:      make(map[int64]*dynPayment),
+		curScale:     1,
+		curThreshold: miceThreshold,
+		backoffScale: 1,
+		res:          DynamicResult{Horizon: horizon},
+	}
+	if g.deadline < 0 || !g.spans {
+		g.deadline = 0
+	}
+	if g.grief < 0 || !g.spans {
+		g.grief = 0
+	}
+	g.res.LatencyOn = g.latOn || g.deadline > 0
+	g.res.Deadline = g.deadline
 	if fl != nil {
-		curThreshold = fl.Threshold()
+		g.curThreshold = fl.Threshold()
+	}
+	if g.window <= 0 {
+		g.window = horizon / 10
+	}
+	// lastWindow is the index of the last bucket whose Start lies
+	// strictly inside the horizon — the Ceil can overcount by one when
+	// horizon/window carries float error (e.g. 9/0.009), which would
+	// otherwise append a phantom zero-width bucket at the horizon.
+	g.lastWindow = int(math.Ceil(horizon/g.window)) - 1
+	if g.lastWindow > 0 && float64(g.lastWindow)*g.window >= horizon {
+		g.lastWindow--
 	}
 
-	// Control plane (see DynamicOptions.Control): the resolved policy's
+	for _, e := range churn {
+		if e.Time < horizon {
+			g.queue.Schedule(e)
+		}
+	}
+
+	// Control plane (see DynamicOptions.Control): the policy's
 	// controllers observe per-window metrics on the cadence below and
-	// re-tune the router's knobs; the legacy AdaptiveThreshold option
-	// resolves to the raw-threshold policy, whose shim path replays the
-	// pre-control-plane event stream byte for byte. Engaged only for
-	// Flash — no other scheme owns runtime knobs.
-	policy := control.Policy{}
+	// re-tune the router's knobs. Engaged only for Flash — no other
+	// scheme owns runtime knobs.
+	var policy control.Policy
 	if opts.Control != nil {
 		policy = *opts.Control
 	}
-	if opts.AdaptiveThreshold && policy.Threshold == "" {
-		policy.Threshold = "raw"
-	}
-	if policy.MiceFraction == 0 {
-		if frac := opts.MiceFraction; frac > 0 && frac < 1 {
-			policy.MiceFraction = frac
-		}
-	}
 	ctl, err := newControlState(policy, opts.controlHook, fl)
 	if err != nil {
-		return res, fmt.Errorf("sim: %w", err)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	thrWindow := policy.Window
-	if thrWindow <= 0 {
-		thrWindow = opts.ThresholdWindow
+	g.ctl = ctl
+	g.ctlWindow = policy.Window
+	if g.ctlWindow <= 0 {
+		g.ctlWindow = g.window
 	}
-	if thrWindow <= 0 {
-		thrWindow = window
-	}
-	// backoffScale multiplies the engine's retry backoff; exactly 1.0
-	// unless a KnobRetryBackoff decision moves it, so control-off runs
-	// compute bit-identical backoffs.
-	backoffScale := 1.0
-	if ctl != nil && thrWindow < horizon {
-		queue.Schedule(event.Event{Time: thrWindow, Kind: ctl.tickKind()})
+	if ctl != nil && g.ctlWindow < horizon {
+		g.queue.Schedule(event.Event{Time: g.ctlWindow, Kind: event.ControlUpdate})
 	}
 
-	// pullArrival schedules the source's next arrival, if it falls
-	// inside the horizon. Exactly one future first-attempt arrival is
-	// pending at any time, which keeps the heap small and the source
-	// lazy — and makes that one look-ahead payment the only arrival
-	// sampled before a demand shift it postdates; the DemandShift
-	// handler rescales it (tracking curScale) so the first post-shift
-	// payment carries a post-shift amount. Degenerate payments are
-	// skipped here, like in RunOpts.
-	srcDone := false
-	curScale := 1.0
-	var lookahead *dynPayment
-	pullArrival := func() {
-		lookahead = nil
-		for !srcDone {
-			p, at, ok := src.Next()
-			if !ok || at >= horizon {
-				srcDone = true
-				return
-			}
-			if p.Sender == p.Receiver || p.Amount <= 0 {
-				continue
-			}
-			dp := &dynPayment{p: p, arrival: at}
-			pending[int64(p.ID)] = dp
-			lookahead = dp
-			queue.Schedule(event.Event{Time: at, Kind: event.PaymentArrival, ID: int64(p.ID)})
+	g.pullArrival()
+	return g, nil
+}
+
+// pullArrival schedules the source's next arrival, if it falls inside
+// the horizon. Exactly one future first-attempt arrival is pending at
+// any time, which keeps the heap small and the source lazy — and
+// makes that one look-ahead payment the only arrival sampled before a
+// demand shift it postdates; demandShift rescales it (tracking
+// curScale) so the first post-shift payment carries a post-shift
+// amount. Degenerate payments are skipped here, like in RunOpts.
+func (g *engine) pullArrival() {
+	g.lookahead = nil
+	for !g.srcDone {
+		p, at, ok := g.src.Next()
+		if !ok || at >= g.horizon {
+			g.srcDone = true
 			return
 		}
-	}
-
-	// dispatch puts dp in service at virtual time t: the routing attempt
-	// runs now (inline for the deterministic single station, on a
-	// goroutine when stations may overlap), and the completion is
-	// scheduled after the drawn virtual service time. In hold-span mode
-	// the attempt stops at the yield seam — holds placed, commit
-	// deferred — and the completion event settles the span.
-	dispatch := func(dp *dynPayment, t float64) {
-		busy++
-		dp.dispatched = t
-		service := 0.0
-		if opts.Service > 0 {
-			// Drawn unconditionally, so the schedule stream's consumption
-			// never depends on routing outcomes.
-			service = schedRNG.ExpFloat64() * opts.Service
-			if grief > 0 && trace.HashUnit(opts.Seed, int64(dp.p.ID)^griefSalt) < grief {
-				// Griefer: override the drawn value (never the draw itself,
-				// so grief-off runs replay byte-identically) with the
-				// attacker's hold duration.
-				service = opts.GriefHold
-			}
-		}
-		seed := attemptSeed(paymentSeed(opts.Seed, int64(dp.p.ID)), dp.attempt)
-		attempt := func(p trace.Payment) routeResult {
-			if spans {
-				tx, out, err := holdAttempt(net, r, p, seed, seeded)
-				return routeResult{out: out, tx: tx, err: err}
-			}
-			out, err := routeAttempt(net, r, p, seed, seeded)
-			return routeResult{out: out, err: err}
-		}
-		if workers == 1 {
-			dp.inline = attempt(dp.p)
-			if spans && dp.inline.tx == nil {
-				// The attempt failed at the hold phase: nothing is locked,
-				// so the payment completes — and its retry clock starts —
-				// at its arrival instant. Only suspended payments occupy a
-				// service span (residency is the holds, not the station).
-				service = 0
-			}
-			// Virtual latency: the attempt's charged probe and commit legs
-			// delay the routing decision, and a suspended span's settle
-			// legs delay its resume. Both terms are exact zeros when the
-			// network carries no RTTs, so the event time below reduces to
-			// the historical t + service bit for bit.
-			lat := 0.0
-			if latOn {
-				lat = float64(dp.inline.out.probeLatNanos+dp.inline.out.commitLatNanos) / 1e9
-			}
-			resumeLat := 0.0
-			if dp.inline.tx != nil {
-				resumeLat = float64(dp.inline.tx.ResumeLatencyNanos()) / 1e9
-			}
-			if deadline > 0 && dp.inline.tx != nil && service+resumeLat > deadline {
-				// The span cannot settle within its HTLC deadline: the
-				// expiry event replaces the attempt's PaymentComplete, so
-				// every attempt still settles exactly once.
-				at := t + lat + deadline
-				queue.Schedule(event.Event{
-					Time: at, Kind: event.DeadlineExpiry,
-					ID: int64(dp.p.ID), Attempt: dp.attempt,
-				})
-				if opts.audit != nil {
-					opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: t,
-						Lat: lat, Service: service, ResumeLat: resumeLat, EventAt: at, Expired: true})
-				}
-				return
-			}
-			at := t + lat + service + resumeLat
-			queue.Schedule(event.Event{
-				Time: at, Kind: event.PaymentComplete,
-				ID: int64(dp.p.ID), Attempt: dp.attempt,
-			})
-			if opts.audit != nil {
-				opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: t,
-					Lat: lat, Service: service, ResumeLat: resumeLat, EventAt: at})
-			}
-			return
-		}
-		dp.done = make(chan routeResult, 1)
-		go func(p trace.Payment, done chan routeResult) {
-			done <- attempt(p)
-		}(dp.p, dp.done)
-		// Concurrent stations learn the attempt's outcome — and its
-		// latency charge — only at harvest time; the completion handler
-		// re-schedules the settle past the service time when needed.
-		queue.Schedule(event.Event{
-			Time: t + service, Kind: event.PaymentComplete,
-			ID: int64(dp.p.ID), Attempt: dp.attempt,
-		})
-	}
-
-	// windowFor returns the time-series bucket containing t. The series
-	// never extends past the horizon: completion events may land at
-	// t ≥ horizon (service times and retry backoffs outlive the last
-	// arrival), and those drain into the final window, whose End is
-	// clamped to the horizon. lastWindow is the index of the last
-	// bucket whose Start lies strictly inside the horizon — the Ceil
-	// can overcount by one when horizon/window carries float error
-	// (e.g. 9/0.009), which would otherwise append a phantom
-	// zero-width bucket at the horizon.
-	lastWindow := int(math.Ceil(horizon/window)) - 1
-	if lastWindow > 0 && float64(lastWindow)*window >= horizon {
-		lastWindow--
-	}
-	windowFor := func(t float64) *Window {
-		idx := int(t / window)
-		if idx > lastWindow {
-			idx = lastWindow
-		}
-		for len(res.Windows) <= idx {
-			start := float64(len(res.Windows)) * window
-			end := start + window
-			if end > horizon {
-				end = horizon
-			}
-			res.Windows = append(res.Windows, Window{Start: start, End: end, Threshold: curThreshold})
-		}
-		return &res.Windows[idx]
-	}
-
-	// applyControlTick is the control plane's observe/decide/apply pass,
-	// run once per cadence tick on the event loop: assemble the window's
-	// metrics, let every controller decide, apply the decisions to the
-	// router, and record the adaptive trajectory into the fingerprinted
-	// log. The legacy shim (raw-threshold policy alone) keeps the
-	// historical stream — one stamped ThresholdUpdate per tick, nothing
-	// else — byte-identical to the engine before internal/control.
-	applyControlTick := func(e event.Event) {
-		// Materialise the bucket (and any earlier ones) before any swap,
-		// so windows that closed under the old threshold report it.
-		w := windowFor(e.Time)
-		m := ctl.snapshot(e.Time, curThreshold, fl.ProbeWorkers())
-		decisions := ctl.plane.Observe(m)
-		if ctl.legacy {
-			for _, d := range decisions {
-				if d.Knob == control.KnobThreshold && d.Value != curThreshold {
-					fl.SetThreshold(d.Value)
-					curThreshold = d.Value
-					res.ThresholdUpdates++
-				}
-			}
-			w.Threshold = curThreshold
-			if next := e.Time + thrWindow; next < horizon {
-				queue.Schedule(event.Event{Time: next, Kind: event.ThresholdUpdate})
-			}
-			// Stamped before recording so the log entry (and the
-			// fingerprint) carries the effective threshold.
-			e.Amount = curThreshold
-			log.Record(e)
-			return
-		}
-		// General plane: the bare cadence tick is logged first (knob
-		// code 0), then one ControlUpdate per applied decision, each
-		// stamped with the effective value the router reports back — the
-		// whole adaptive trajectory folds into the fingerprint.
-		log.Record(e)
-		for _, d := range decisions {
-			eff := d.Value
-			switch d.Knob {
-			case control.KnobThreshold:
-				if d.Value == curThreshold {
-					continue
-				}
-				fl.SetThreshold(d.Value)
-				curThreshold = d.Value
-				res.ThresholdUpdates++
-			case control.KnobSenderThreshold:
-				fl.SetSenderThreshold(d.Sender, d.Value)
-			case control.KnobProbeWidth:
-				eff = float64(fl.SetProbeWorkers(int(d.Value)))
-			case control.KnobRetryBackoff:
-				if !(d.Value > 0) {
-					continue
-				}
-				backoffScale = d.Value
-			default:
-				continue
-			}
-			ctl.applied(d.Knob, eff)
-			if obs != nil {
-				obs.decided(d.Knob, eff)
-			}
-			log.Record(event.Event{Time: e.Time, Seq: e.Seq, Kind: event.ControlUpdate,
-				ID: int64(d.Knob), A: d.Sender, Amount: eff})
-		}
-		w.Threshold = curThreshold
-		if next := e.Time + thrWindow; next < horizon {
-			queue.Schedule(event.Event{Time: next, Kind: event.ControlUpdate})
-		}
-	}
-
-	pullArrival()
-	for queue.Len() > 0 {
-		e, _ := queue.Pop()
-		clock.AdvanceTo(e.Time)
-		if e.Kind == event.ThresholdUpdate || e.Kind == event.ControlUpdate {
-			applyControlTick(e)
+		if p.Sender == p.Receiver || p.Amount <= 0 {
 			continue
 		}
-		log.Record(e)
+		dp := &dynPayment{p: p, arrival: at}
+		g.pending[int64(p.ID)] = dp
+		g.lookahead = dp
+		g.queue.Schedule(event.Event{Time: at, Kind: event.PaymentArrival, ID: int64(p.ID)})
+		return
+	}
+}
 
-		switch e.Kind {
-		case event.PaymentArrival:
-			dp := pending[e.ID]
-			if e.Attempt == 0 {
-				pullArrival()
-				if ctl != nil {
-					ctl.arrival(dp.p.Sender, dp.p.Amount)
-				}
-			}
-			dp.attempt = e.Attempt
-			// With hold spans the deterministic single station never
-			// queues: routing is instantaneous in virtual time, and a
-			// payment's residency on the network is modelled by its
-			// locked holds, not by station occupancy — every arrival
-			// must probe the network exactly as it stands at its own
-			// arrival instant, in-flight holds included. The same holds
-			// with a latency model: the settle event lands after the
-			// charged legs, but the routing itself still executes at the
-			// arrival instant, so delayed settles must not queue arrivals.
-			if busy < workers || ((spans || latOn) && workers == 1) {
-				dispatch(dp, e.Time)
-			} else {
-				waitQ = append(waitQ, e.ID)
-			}
-
-		case event.PaymentComplete, event.DeadlineExpiry:
-			dp := pending[e.ID]
-			result := dp.inline
-			if dp.done != nil {
-				result = <-dp.done
-				dp.done = nil
-				// Concurrent stations learn the outcome — and its virtual
-				// latency — only now, after the service time. When a
-				// latency model is live, re-schedule the settle (or the
-				// deadline expiry, clamped so the clock never runs
-				// backwards) as a second event; the station stays busy
-				// until it lands. With latency off both terms are zero and
-				// the attempt settles right here, as it always did.
-				lat := 0.0
-				if latOn {
-					lat = float64(result.out.probeLatNanos+result.out.commitLatNanos) / 1e9
-				}
-				resumeLat := 0.0
-				if result.tx != nil {
-					resumeLat = float64(result.tx.ResumeLatencyNanos()) / 1e9
-				}
-				if deadline > 0 && result.tx != nil && e.Time-dp.dispatched+resumeLat > deadline {
-					dp.inline = result
-					at := dp.dispatched + deadline
-					if at < e.Time {
-						at = e.Time
-					}
-					queue.Schedule(event.Event{
-						Time: at, Kind: event.DeadlineExpiry,
-						ID: e.ID, Attempt: dp.attempt,
-					})
-					continue
-				}
-				if lat+resumeLat > 0 {
-					dp.inline = result
-					queue.Schedule(event.Event{
-						Time: e.Time + lat + resumeLat, Kind: event.PaymentComplete,
-						ID: e.ID, Attempt: dp.attempt,
-					})
-					continue
-				}
-			}
-			busy--
-			dp.spanAborted = false // only the settling attempt's verdict counts
-			dp.expired = false
-			if e.Kind == event.DeadlineExpiry {
-				// The span's HTLC deadline passed before its commit could
-				// settle: tear the holds down and count the attempt as
-				// failed. Expire races Resume in general, but the engine
-				// schedules exactly one settle event per attempt, so here
-				// it must win.
-				if result.tx != nil {
-					if rerr := result.tx.Expire(); rerr != nil {
-						result.err = rerr
-					} else {
-						res.DeadlineExpiries++
-						dp.expired = true
-						result.out.delivered = false
-						result.out.commitMsgs = int64(result.tx.CommitMessages())
-						result.out.commitLatNanos = result.tx.CommitLatencyNanos()
-						result.out.fees = 0
-					}
-				}
-			} else if result.err == nil && result.tx != nil {
-				// Settle the hold span: the deferred commit applies now —
-				// or aborts, if churn closed a held channel mid-span. The
-				// CONFIRM/REVERSE messages (and their latency) and any fees
-				// land here, so the accounting is re-read from the session.
-				committed, rerr := result.tx.Resume()
-				if rerr != nil {
-					result.err = rerr
-				} else {
-					result.out.delivered = committed
-					result.out.commitMsgs = int64(result.tx.CommitMessages())
-					result.out.commitLatNanos = result.tx.CommitLatencyNanos()
-					result.out.fees = 0
-					if committed {
-						result.out.fees = result.tx.FeesPaid()
-					} else {
-						res.SpanAborts++
-						dp.spanAborted = true
-					}
-				}
-			}
-			if result.err != nil {
-				res.FinalThreshold = curThreshold
-				res.finishLog(&log)
-				return res, result.err
-			}
-			dp.total.add(result.out)
-			if result.out.delivered || dp.attempt >= opts.Retries {
-				delete(pending, e.ID)
-				t := dp.total
-				dp.total = routeOutcome{}
-				res.Aggregate.Record(dp.p.Amount, miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				w := windowFor(e.Time)
-				w.Metrics.Record(dp.p.Amount, miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				if ctl != nil {
-					// The re-classification view and the controllers' window
-					// metrics classify against the threshold in effect for
-					// this sender right now — per-sender overrides included —
-					// where the fixed-threshold Metrics above keep runs
-					// comparable across policies.
-					effThr := fl.ThresholdFor(dp.p.Sender)
-					ctl.completedPayment(dp.p.Amount, effThr, t)
-					res.Adaptive.Record(dp.p.Amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-					w.Adaptive.Record(dp.p.Amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				}
-				if latencyReport && t.delivered {
-					res.Latency.Observe(e.Time - dp.arrival)
-					w.Latency.Observe(e.Time - dp.arrival)
-				}
-				if obs != nil {
-					obs.completed(dp.p, miceThreshold, t, dp.attempt+1, dp.arrival, e.Time, dp.spanAborted, dp.expired, curThreshold)
-				}
-			} else {
-				// Retry after a jittered virtual backoff: 50ms · 2^attempt,
-				// scaled by [0.5, 1.5) — long enough for the racing holds of
-				// the same instant to have settled.
-				backoff := 0.05 * backoffScale * float64(uint(1)<<uint(dp.attempt)) * (0.5 + schedRNG.Float64())
-				queue.Schedule(event.Event{
-					Time: e.Time + backoff, Kind: event.PaymentArrival,
-					ID: e.ID, Attempt: dp.attempt + 1,
-				})
-				if opts.audit != nil {
-					opts.audit(schedAudit{ID: e.ID, Attempt: dp.attempt, At: e.Time,
-						Backoff: backoff, EventAt: e.Time + backoff, Retry: true})
-				}
-			}
-			if len(waitQ) > 0 && busy < workers {
-				next := waitQ[0]
-				waitQ = waitQ[1:]
-				dispatch(pending[next], e.Time)
-			}
-
-		case event.ChannelClose:
-			if err := net.SetChannelOpen(e.A, e.B, false); err != nil {
-				return res, fmt.Errorf("sim: churn close: %w", err)
-			}
-			if fl != nil {
-				fl.InvalidateChannel(e.A, e.B)
-			}
-
-		case event.ChannelOpen:
-			if err := net.SetChannelOpen(e.A, e.B, true); err != nil {
-				return res, fmt.Errorf("sim: churn open: %w", err)
-			}
-			if e.Amount > 0 {
-				// FundChannel, not SetBalance: funding must never undercut
-				// holds a concurrent in-flight payment already owns.
-				if err := net.FundChannel(e.A, e.B, e.Amount, e.Amount); err != nil {
-					return res, fmt.Errorf("sim: churn open funding: %w", err)
-				}
-			}
-			if fl != nil {
-				fl.InvalidateChannel(e.A, e.B)
-			}
-
-		case event.Rebalance:
-			if _, err := net.Rebalance(e.A, e.B); err != nil {
-				return res, fmt.Errorf("sim: churn rebalance: %w", err)
-			}
-
-		case event.FeeShift:
-			if err := net.ScaleFee(e.A, e.B, e.Amount); err != nil {
-				return res, fmt.Errorf("sim: churn fee shift: %w", err)
-			}
-
-		case event.DemandShift:
-			if sh, ok := src.(interface{ SetAmountScale(float64) }); ok {
-				sh.SetAmountScale(e.Amount)
-				// The one look-ahead arrival was sampled under the old
-				// scale but arrives after the shift; rescale it so the
-				// first post-shift payment carries a post-shift amount.
-				// (Sources that don't scale — trace replays — keep their
-				// recorded amounts, and so does their look-ahead.)
-				if lookahead != nil {
-					lookahead.p.Amount *= e.Amount / curScale
-				}
-				curScale = e.Amount
-			}
+// arrival handles a PaymentArrival — a first attempt or a scheduled
+// retry: it puts the payment in service, or queues it for a free
+// station.
+func (g *engine) arrival(e event.Event) {
+	dp := g.pending[e.ID]
+	if e.Attempt == 0 {
+		g.pullArrival()
+		if g.ctl != nil {
+			g.ctl.arrival(dp.p.Sender, dp.p.Amount)
 		}
 	}
-	res.FinalThreshold = curThreshold
-	if ctl != nil {
-		res.ControlOn = !ctl.legacy
-		res.AdaptiveView = true
-		res.ControlDecisions = ctl.decisions
-		res.Controllers = ctl.knobStatus()
+	dp.attempt = e.Attempt
+	// With hold spans the deterministic single station never queues:
+	// routing is instantaneous in virtual time, and a payment's
+	// residency on the network is modelled by its locked holds, not by
+	// station occupancy — every arrival must probe the network exactly
+	// as it stands at its own arrival instant, in-flight holds
+	// included. The same holds with a latency model: the settle event
+	// lands after the charged legs, but the routing itself still
+	// executes at the arrival instant, so delayed settles must not
+	// queue arrivals.
+	if g.busy < g.workers || ((g.spans || g.latOn) && g.workers == 1) {
+		g.dispatch(dp, e.Time)
+	} else {
+		g.waitQ = append(g.waitQ, e.ID)
 	}
-	res.finishLog(&log)
-	return res, nil
+}
+
+// dispatch puts dp in service at virtual time t. The single station
+// routes inline and schedules the settle event settleAt picks;
+// concurrent stations route on a goroutine and schedule a harvest
+// after the drawn service time, where settle learns the outcome. In
+// hold-span mode the attempt stops at the yield seam — holds placed,
+// commit deferred — and the settle event resumes the span.
+func (g *engine) dispatch(dp *dynPayment, t float64) {
+	g.busy++
+	dp.dispatched = t
+	dp.service = g.serviceTime(dp.p.ID)
+	seed := attemptSeed(paymentSeed(g.opts.Seed, int64(dp.p.ID)), dp.attempt)
+	if g.workers == 1 {
+		dp.inline = g.attempt(dp.p, seed)
+		if g.spans && dp.inline.tx == nil {
+			// The attempt failed at the hold phase: nothing is locked,
+			// so the payment completes — and its retry clock starts — at
+			// its arrival instant. Only suspended payments occupy a
+			// service span (residency is the holds, not the station).
+			dp.service = 0
+		}
+		kind, at := g.settleAt(dp, t)
+		g.queue.Schedule(event.Event{Time: at, Kind: kind, ID: int64(dp.p.ID), Attempt: dp.attempt})
+		return
+	}
+	dp.done = make(chan routeResult, 1)
+	go g.station(dp.p, seed, dp.done)
+	g.queue.Schedule(event.Event{
+		Time: t + dp.service, Kind: event.PaymentComplete,
+		ID: int64(dp.p.ID), Attempt: dp.attempt,
+	})
+}
+
+// serviceTime draws one attempt's virtual service time: exponential
+// with mean Service, or a griefer's GriefHold. Drawn unconditionally
+// with hold spans on, so the schedule stream's consumption never
+// depends on routing outcomes.
+func (g *engine) serviceTime(id int) float64 {
+	if g.opts.Service <= 0 {
+		return 0
+	}
+	service := g.schedRNG.ExpFloat64() * g.opts.Service
+	if g.grief > 0 && trace.HashUnit(g.opts.Seed, int64(id)^griefSalt) < g.grief {
+		// Griefer: override the drawn value (never the draw itself, so
+		// grief-off runs replay byte-identically) with the attacker's
+		// hold duration.
+		service = g.opts.GriefHold
+	}
+	return service
+}
+
+// attempt runs one routing attempt: up to the yield seam with hold
+// spans, atomically otherwise.
+func (g *engine) attempt(p trace.Payment, seed int64) routeResult {
+	if g.spans {
+		tx, out, err := holdAttempt(g.net, g.r, p, seed, g.seeded)
+		return routeResult{out: out, tx: tx, err: err}
+	}
+	out, err := routeAttempt(g.net, g.r, p, seed, g.seeded)
+	return routeResult{out: out, err: err}
+}
+
+// station is a concurrent service station: it routes one attempt off
+// the event loop and hands the outcome to the harvest.
+func (g *engine) station(p trace.Payment, seed int64, done chan<- routeResult) {
+	done <- g.attempt(p, seed)
+}
+
+// settleAt picks the event that settles dp's latest attempt (whose
+// outcome is dp.inline) and its instant, at virtual time now: the
+// single station decides at dispatch, concurrent stations at harvest.
+// The attempt's charged probe and commit legs delay the routing
+// decision, and a suspended span's settle legs delay its resume; both
+// terms are exact zeros when the network carries no RTTs, so the
+// settle reduces to dispatch + service bit for bit. A span that cannot
+// settle within its HTLC deadline expires at dispatch + latency +
+// deadline instead: the expiry replaces the PaymentComplete, so every
+// attempt still settles exactly once. A station that learns its
+// outcome late never schedules before now.
+func (g *engine) settleAt(dp *dynPayment, now float64) (event.Kind, float64) {
+	rr := &dp.inline
+	lat := 0.0
+	if g.latOn {
+		lat = float64(rr.out.probeLatNanos+rr.out.commitLatNanos) / 1e9
+	}
+	resumeLat := 0.0
+	if rr.tx != nil {
+		resumeLat = float64(rr.tx.ResumeLatencyNanos()) / 1e9
+	}
+	kind, at := event.PaymentComplete, dp.dispatched+lat+dp.service+resumeLat
+	if g.deadline > 0 && rr.tx != nil && dp.service+resumeLat > g.deadline {
+		kind, at = event.DeadlineExpiry, dp.dispatched+lat+g.deadline
+	}
+	at = max(at, now)
+	if g.opts.audit != nil {
+		g.opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: dp.dispatched,
+			Lat: lat, Service: dp.service, ResumeLat: resumeLat, EventAt: at,
+			Expired: kind == event.DeadlineExpiry})
+	}
+	return kind, at
+}
+
+// settle handles a PaymentComplete or DeadlineExpiry: the attempt
+// leaves service, its span (if any) commits, aborts or expires, and
+// the payment either completes or is scheduled for a retry. On a
+// concurrent station the first such event is the harvest, where the
+// outcome becomes known: the settle happens right there only if
+// settleAt picks this very event, else it is rescheduled and the
+// station stays busy until it lands.
+func (g *engine) settle(e event.Event) error {
+	dp := g.pending[e.ID]
+	if dp.done != nil {
+		dp.inline = <-dp.done
+		dp.done = nil
+		if kind, at := g.settleAt(dp, e.Time); kind != e.Kind || at != e.Time {
+			g.queue.Schedule(event.Event{Time: at, Kind: kind, ID: e.ID, Attempt: dp.attempt})
+			return nil
+		}
+	}
+	g.busy--
+	result := dp.inline
+	dp.spanAborted = false // only the settling attempt's verdict counts
+	dp.expired = false
+	if result.err == nil && result.tx != nil {
+		g.closeSpan(dp, &result, e.Kind == event.DeadlineExpiry)
+	}
+	if result.err != nil {
+		return result.err
+	}
+	dp.total.add(result.out)
+	if result.out.delivered || dp.attempt >= g.opts.Retries {
+		g.complete(dp, e.Time)
+	} else {
+		g.retry(dp, e.Time)
+	}
+	if len(g.waitQ) > 0 && g.busy < g.workers {
+		next := g.waitQ[0]
+		g.waitQ = g.waitQ[1:]
+		g.dispatch(g.pending[next], e.Time)
+	}
+	return nil
+}
+
+// closeSpan ends a suspended span and re-reads the attempt's
+// accounting from the session. At its deadline the holds are torn
+// down and the attempt fails: Expire races Resume in general, but the
+// engine schedules exactly one settle event per attempt, so here it
+// must win. Otherwise the deferred commit applies now — or aborts, if
+// churn closed a held channel mid-span; the CONFIRM/REVERSE messages
+// (and their latency) and any fees land here.
+func (g *engine) closeSpan(dp *dynPayment, rr *routeResult, expired bool) {
+	delivered := false
+	if expired {
+		if err := rr.tx.Expire(); err != nil {
+			rr.err = err
+			return
+		}
+		g.res.DeadlineExpiries++
+		dp.expired = true
+	} else {
+		committed, err := rr.tx.Resume()
+		if err != nil {
+			rr.err = err
+			return
+		}
+		delivered = committed
+		if !committed {
+			g.res.SpanAborts++
+			dp.spanAborted = true
+		}
+	}
+	rr.out.delivered = delivered
+	rr.out.commitMsgs = int64(rr.tx.CommitMessages())
+	rr.out.commitLatNanos = rr.tx.CommitLatencyNanos()
+	rr.out.fees = 0
+	if delivered {
+		rr.out.fees = rr.tx.FeesPaid()
+	}
+}
+
+// complete records a payment's final outcome — all its attempts
+// summed — into the aggregate, the window containing now, the control
+// plane's accumulator and the observers.
+func (g *engine) complete(dp *dynPayment, now float64) {
+	delete(g.pending, int64(dp.p.ID))
+	t := dp.total
+	dp.total = routeOutcome{}
+	amount := dp.p.Amount
+	g.res.Aggregate.Record(amount, g.miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
+	w := g.windowFor(now)
+	w.Metrics.Record(amount, g.miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
+	if g.ctl != nil {
+		// The re-classification view and the controllers' window
+		// metrics classify against the threshold in effect for this
+		// sender right now — per-sender overrides included — where the
+		// fixed-threshold Metrics above keep runs comparable across
+		// policies.
+		effThr := g.fl.ThresholdFor(dp.p.Sender)
+		g.ctl.completedPayment(amount, effThr, t)
+		g.res.Adaptive.Record(amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
+		w.Adaptive.Record(amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
+	}
+	if g.res.LatencyOn && t.delivered {
+		g.res.Latency.Observe(now - dp.arrival)
+		w.Latency.Observe(now - dp.arrival)
+	}
+	if g.obs != nil {
+		g.obs.completed(dp.p, g.miceThreshold, t, dp.attempt+1, dp.arrival, now, dp.spanAborted, dp.expired, g.curThreshold)
+	}
+}
+
+// retry schedules dp's next attempt after a jittered virtual backoff:
+// 50ms · 2^attempt, scaled by [0.5, 1.5) — long enough for the racing
+// holds of the same instant to have settled.
+func (g *engine) retry(dp *dynPayment, now float64) {
+	backoff := 0.05 * g.backoffScale * float64(uint(1)<<uint(dp.attempt)) * (0.5 + g.schedRNG.Float64())
+	id := int64(dp.p.ID)
+	g.queue.Schedule(event.Event{Time: now + backoff, Kind: event.PaymentArrival, ID: id, Attempt: dp.attempt + 1})
+	if g.opts.audit != nil {
+		g.opts.audit(schedAudit{ID: id, Attempt: dp.attempt, At: now,
+			Backoff: backoff, EventAt: now + backoff, Retry: true})
+	}
+}
+
+// churn applies a channel event to the live network: a close freezes
+// the channel, an open reactivates (and optionally funds) it — both
+// invalidating Flash's routing-table entries across it — a rebalance
+// evens its directions, and a fee shift rescales its fee schedules.
+func (g *engine) churn(e event.Event) error {
+	switch e.Kind {
+	case event.ChannelClose:
+		if err := g.net.SetChannelOpen(e.A, e.B, false); err != nil {
+			return fmt.Errorf("sim: churn close: %w", err)
+		}
+	case event.ChannelOpen:
+		if err := g.net.SetChannelOpen(e.A, e.B, true); err != nil {
+			return fmt.Errorf("sim: churn open: %w", err)
+		}
+		if e.Amount > 0 {
+			// FundChannel, not SetBalance: funding must never undercut
+			// holds a concurrent in-flight payment already owns.
+			if err := g.net.FundChannel(e.A, e.B, e.Amount, e.Amount); err != nil {
+				return fmt.Errorf("sim: churn open funding: %w", err)
+			}
+		}
+	case event.Rebalance:
+		if _, err := g.net.Rebalance(e.A, e.B); err != nil {
+			return fmt.Errorf("sim: churn rebalance: %w", err)
+		}
+		return nil
+	case event.FeeShift:
+		if err := g.net.ScaleFee(e.A, e.B, e.Amount); err != nil {
+			return fmt.Errorf("sim: churn fee shift: %w", err)
+		}
+		return nil
+	}
+	if g.fl != nil {
+		g.fl.InvalidateChannel(e.A, e.B)
+	}
+	return nil
+}
+
+// demandShift rescales the source's payment amounts when the source
+// supports it. The one look-ahead arrival was sampled under the old
+// scale but arrives after the shift; it is rescaled too, so the first
+// post-shift payment carries a post-shift amount. (Sources that don't
+// scale — trace replays — keep their recorded amounts, and so does
+// their look-ahead.)
+func (g *engine) demandShift(e event.Event) {
+	sh, ok := g.src.(interface{ SetAmountScale(float64) })
+	if !ok {
+		return
+	}
+	sh.SetAmountScale(e.Amount)
+	if g.lookahead != nil {
+		g.lookahead.p.Amount *= e.Amount / g.curScale
+	}
+	g.curScale = e.Amount
+}
+
+// controlTick is the control plane's observe/decide/apply pass, run
+// once per cadence tick: assemble the window's metrics, let every
+// controller decide, apply the decisions to the router, and record
+// one ControlUpdate per applied decision after the bare tick (knob
+// code 0) the loop already logged, each stamped with the effective
+// value the router reports back — the whole adaptive trajectory folds
+// into the fingerprint.
+func (g *engine) controlTick(e event.Event) {
+	// Materialise the bucket (and any earlier ones) before any swap,
+	// so windows that closed under the old threshold report it.
+	w := g.windowFor(e.Time)
+	m := g.ctl.snapshot(e.Time, g.curThreshold, g.fl.ProbeWorkers())
+	for _, d := range g.ctl.plane.Observe(m) {
+		eff := d.Value
+		switch d.Knob {
+		case control.KnobThreshold:
+			if d.Value == g.curThreshold {
+				continue
+			}
+			g.fl.SetThreshold(d.Value)
+			g.curThreshold = d.Value
+			g.res.ThresholdUpdates++
+		case control.KnobSenderThreshold:
+			g.fl.SetSenderThreshold(d.Sender, d.Value)
+		case control.KnobProbeWidth:
+			eff = float64(g.fl.SetProbeWorkers(int(d.Value)))
+		case control.KnobRetryBackoff:
+			if !(d.Value > 0) {
+				continue
+			}
+			g.backoffScale = d.Value
+		default:
+			continue
+		}
+		g.ctl.applied(d.Knob, eff)
+		if g.obs != nil {
+			g.obs.decided(d.Knob, eff)
+		}
+		g.log.Record(event.Event{Time: e.Time, Seq: e.Seq, Kind: event.ControlUpdate,
+			ID: int64(d.Knob), A: d.Sender, Amount: eff})
+	}
+	w.Threshold = g.curThreshold
+	if next := e.Time + g.ctlWindow; next < g.horizon {
+		g.queue.Schedule(event.Event{Time: next, Kind: event.ControlUpdate})
+	}
+}
+
+// windowFor returns the time-series bucket containing t. The series
+// never extends past the horizon: completion events may land at
+// t ≥ horizon (service times and retry backoffs outlive the last
+// arrival), and those drain into the final window, whose End is
+// clamped to the horizon.
+func (g *engine) windowFor(t float64) *Window {
+	idx := min(int(t/g.window), g.lastWindow)
+	for len(g.res.Windows) <= idx {
+		start := float64(len(g.res.Windows)) * g.window
+		end := min(start+g.window, g.horizon)
+		g.res.Windows = append(g.res.Windows, Window{Start: start, End: end, Threshold: g.curThreshold})
+	}
+	return &g.res.Windows[idx]
+}
+
+// result finalises the run's result from the engine state.
+func (g *engine) result() DynamicResult {
+	g.res.FinalThreshold = g.curThreshold
+	if g.ctl != nil {
+		g.res.ControlOn = true
+		g.res.ControlDecisions = g.ctl.decisions
+		g.res.Controllers = g.ctl.knobStatus()
+	}
+	g.res.EventCounts = g.log.Counts()
+	g.res.Fingerprint = g.log.Fingerprint()
+	g.res.Log = g.log.Events()
+	return g.res
 }
 
 // validShiftFactor rejects shift factors that would silently no-op or
@@ -935,13 +922,6 @@ func validShiftFactor(kind event.Kind, factor float64) error {
 		return fmt.Errorf("sim: %v factor must be positive and finite, got %v", kind, factor)
 	}
 	return nil
-}
-
-// finishLog copies the applied-event log's evidence into the result.
-func (r *DynamicResult) finishLog(l *event.Log) {
-	r.EventCounts = l.Counts()
-	r.Fingerprint = l.Fingerprint()
-	r.Log = l.Events()
 }
 
 // Arrival-process names understood by DynamicScenario.
@@ -1004,18 +984,12 @@ type DynamicScenario struct {
 	FeeShiftFactor float64
 	FeeShiftFrac   float64
 
-	// AdaptiveThreshold re-calibrates Flash's elephant threshold on a
-	// rolling ThresholdWindow cadence so the mice/elephant split tracks
-	// demand drift (DynamicOptions.AdaptiveThreshold; the scenario's
-	// MiceFraction is the tracked quantile). ThresholdWindow 0 defaults
-	// to the time-series window.
-	AdaptiveThreshold bool
-	ThresholdWindow   float64
-
 	// Control runs the adaptive control plane on Flash
 	// (DynamicOptions.Control): the policy's controllers observe window
-	// metrics on the ThresholdWindow cadence and re-tune the runtime
-	// knobs. nil runs whatever AdaptiveThreshold alone selects.
+	// metrics on the Control.Window cadence (else the time-series
+	// window) and re-tune the runtime knobs; a policy that leaves
+	// MiceFraction at 0 tracks the scenario's MiceFraction. nil runs no
+	// controllers.
 	Control *control.Policy
 
 	// FlashK/FlashM override Flash's path counts when > 0 (FlashMSet
@@ -1104,12 +1078,12 @@ var DynamicScenarioNames = []string{"steady", "flash-crowd", "depletion-rebalanc
 //     suspended across the failure abort, and the success rate drops
 //     with the hub gone.
 //   - "demand-drift": a 4× downward demand shift mid-run on a tightly
-//     provisioned network, with the adaptive elephant threshold on.
-//     The static-threshold control (-adaptivethreshold=false) keeps
+//     provisioned network, with the raw adaptive threshold policy on
+//     (Control raw). The static-threshold control (-control off) keeps
 //     classifying against the stale pre-shift 90th percentile, so the
 //     post-shift top decile routes over m mice paths instead of the
 //     elephant algorithm and its success ratio degrades; the adaptive
-//     run re-calibrates within a threshold window and recovers.
+//     run re-calibrates within a control window and recovers.
 //   - "fee-war": the top-degree hub multiplies its channel fees 25×
 //     mid-run. Success is largely unaffected (capacity is unchanged)
 //     but the fee ratio jumps in the post-shift windows, least for
@@ -1172,7 +1146,7 @@ func NamedDynamicScenario(name, kind string, nodes int) (DynamicScenario, error)
 		sc.Rate = 25
 		sc.DemandShiftFactor = 0.25
 		sc.DemandShiftFrac = 0.5
-		sc.AdaptiveThreshold = true
+		sc.Control = &control.Policy{Threshold: "raw"}
 	case "fee-war":
 		sc.FeeShiftFactor = 25
 		sc.FeeShiftFrac = 0.5
@@ -1247,6 +1221,11 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 	if len(sc.Schemes) == 0 {
 		sc.Schemes = PaperSchemes
 	}
+	if c := sc.Control; c != nil && c.MiceFraction == 0 && sc.MiceFraction > 0 && sc.MiceFraction < 1 {
+		policy := *c
+		policy.MiceFraction = sc.MiceFraction
+		sc.Control = &policy
+	}
 	arr, err := sc.arrivalProcess()
 	if err != nil {
 		return nil, err
@@ -1319,20 +1298,17 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 			RegisterNetworkMetrics(sc.Registry, scheme, net)
 		}
 		res, err := RunDynamic(net, r, stream, sc.Duration, churn, threshold, DynamicOptions{
-			Workers:           sc.Workers,
-			Seed:              sc.Seed,
-			Retries:           sc.Retries,
-			Window:            sc.Window,
-			Service:           sc.Service,
-			AdaptiveThreshold: sc.AdaptiveThreshold,
-			ThresholdWindow:   sc.ThresholdWindow,
-			MiceFraction:      sc.MiceFraction,
-			Control:           sc.Control,
-			Deadline:          sc.Deadline,
-			GriefFrac:         sc.GriefFrac,
-			GriefHold:         sc.GriefHold,
-			FlowSink:          sc.FlowSink,
-			Registry:          sc.Registry,
+			Workers:   sc.Workers,
+			Seed:      sc.Seed,
+			Retries:   sc.Retries,
+			Window:    sc.Window,
+			Service:   sc.Service,
+			Control:   sc.Control,
+			Deadline:  sc.Deadline,
+			GriefFrac: sc.GriefFrac,
+			GriefHold: sc.GriefHold,
+			FlowSink:  sc.FlowSink,
+			Registry:  sc.Registry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", scheme, err)

@@ -58,7 +58,7 @@ func latencyJSON(l *LatencyStats) *jsonLatency {
 // aggregate): mice/elephant outcomes classified against the threshold
 // in effect for each payment when it completed, where the plain
 // metrics classify against the run's fixed metrics threshold. Present
-// exactly when a control plane ran (DynamicResult.AdaptiveView).
+// exactly when a control plane ran (DynamicResult.ControlOn).
 type jsonAdaptive struct {
 	MicePayments         int     `json:"micePayments"`
 	MiceSuccesses        int     `json:"miceSuccesses"`
@@ -139,10 +139,8 @@ func WriteDynamicJSON(out io.Writer, scheme string, res DynamicResult) error {
 		ThresholdUpdates: res.ThresholdUpdates,
 		FinalThreshold:   res.FinalThreshold,
 	}
-	if res.AdaptiveView {
-		doc.Adaptive = adaptiveJSON(res.Adaptive)
-	}
 	if res.ControlOn {
+		doc.Adaptive = adaptiveJSON(res.Adaptive)
 		doc.ControlDecisions = res.ControlDecisions
 		doc.Controllers = res.Controllers
 	}
@@ -154,7 +152,7 @@ func WriteDynamicJSON(out io.Writer, scheme string, res DynamicResult) error {
 	for i := range res.Windows {
 		w := &res.Windows[i]
 		doc.Windows[i] = jsonWindow{Start: w.Start, End: w.End, Threshold: w.Threshold, Metrics: metricsJSON(w.Metrics)}
-		if res.AdaptiveView {
+		if res.ControlOn {
 			doc.Windows[i].Adaptive = adaptiveJSON(w.Adaptive)
 		}
 		if res.LatencyOn {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -358,5 +359,62 @@ func TestExactVirtualTimeAccounting(t *testing.T) {
 	}
 	if res.Latency.Count == 0 {
 		t.Error("no completion latencies observed despite RTTs on")
+	}
+}
+
+// TestConcurrentExpiryChargesLatency pins the expiry instant of a
+// concurrent station: a span that cannot settle within its deadline
+// expires at dispatch + charged probe/commit latency + deadline — the
+// Deadline contract, and exactly what the single station schedules —
+// even though a concurrent station only learns its latency at
+// harvest, one service time after dispatch. One payment, griefed so
+// its service time is pinned just under the deadline and the settle
+// legs tip it over.
+func TestConcurrentExpiryChargesLatency(t *testing.T) {
+	const deadline, hold, arrival = 2.0, 1.99, 1.0
+	expiryAt := map[int]float64{}
+	for _, workers := range []int{1, 2} {
+		g := topo.New(3)
+		g.MustAddChannel(0, 1)
+		g.MustAddChannel(0, 2)
+		net := pcnNew(t, g, 1e6)
+		for _, e := range g.Channels() {
+			if err := net.SetLatency(e.A, e.B, 0.05); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var audits []schedAudit
+		res, err := RunDynamic(net, baselineShortestPath(t), newScaledSource(10, arrival), 10, nil, 1e9, DynamicOptions{
+			Workers: workers, Seed: 3, Service: 1, Deadline: deadline,
+			GriefFrac: 1, GriefHold: hold, RecordLog: true,
+			audit: func(a schedAudit) { audits = append(audits, a) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeadlineExpiries != 1 {
+			t.Fatalf("workers=%d: %d expiries, want 1", workers, res.DeadlineExpiries)
+		}
+		if len(audits) != 1 || !audits[0].Expired {
+			t.Fatalf("workers=%d: audits %+v, want one expiry decision", workers, audits)
+		}
+		a := audits[0]
+		if a.At != arrival || a.Service != hold || !(a.Lat > 0) || !(a.Service+a.ResumeLat > deadline) {
+			t.Fatalf("workers=%d: audit %+v, want dispatch at %v, service %v, latency charged, settle past the deadline",
+				workers, a, arrival, hold)
+		}
+		want := a.At + a.Lat + deadline
+		for _, e := range res.Log {
+			if e.Kind == event.DeadlineExpiry {
+				expiryAt[workers] = e.Time
+			}
+		}
+		if expiryAt[workers] != want || a.EventAt != want {
+			t.Errorf("workers=%d: expiry logged at %v, audited at %v, want %v = dispatch + latency + deadline",
+				workers, expiryAt[workers], a.EventAt, want)
+		}
+	}
+	if expiryAt[1] != expiryAt[2] {
+		t.Errorf("single station expires at %v, concurrent stations at %v", expiryAt[1], expiryAt[2])
 	}
 }
