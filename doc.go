@@ -60,20 +60,18 @@
 //     concurrent payments can never overbook a channel.
 //   - core: Flash's routing tables are sharded per sender (an RWMutex
 //     map of per-sender tables, each with its own lock); counters are
-//     atomics. Flash.Prewarm bulk-builds table entries with a bounded
-//     worker pool, running the Yen computations outside any lock.
-//     Config.ProbeWorkers > 1 additionally parallelises *within* one
-//     elephant payment: each round the router computes up to that many
-//     distinct candidate paths on its probed-knowledge graph (BFS +
-//     Yen-style edge-avoidance spurs), probes them concurrently on the
-//     session, and merges the results in candidate-index order exactly
-//     as if probed sequentially — early exit at the demand preserved,
-//     surplus probed knowledge kept. The pool engages only on sessions
-//     advertising ParallelProber (pcn.Tx does; the TCP testbed session
-//     does not), and a fixed seed plus a fixed ProbeWorkers replays
-//     identically. ProbeWorkers ≤ 1 is the sequential Algorithm 1
-//     loop, byte-identical to the seed engine. CLI: -probeworkers on
-//     cmd/flashsim and cmd/experiments.
+//     atomics. Config.ProbeWorkers > 1 additionally parallelises
+//     *within* one elephant payment: each round the router computes up
+//     to that many distinct candidate paths on its probed-knowledge
+//     graph (BFS + Yen-style edge-avoidance spurs), probes them
+//     concurrently on the session, and merges the results in
+//     candidate-index order exactly as if probed sequentially — early
+//     exit at the demand preserved, surplus probed knowledge kept. The
+//     pool engages only on sessions advertising ParallelProber (pcn.Tx
+//     does; the TCP testbed session does not), and a fixed seed plus a
+//     fixed ProbeWorkers replays identically. ProbeWorkers ≤ 1 is the
+//     sequential Algorithm 1 loop, byte-identical to the seed engine.
+//     CLI: -probeworkers on cmd/flashsim and cmd/experiments.
 //   - sim: RunSimulationOpts{Workers: N} replays a workload with N
 //     goroutines over the shared network, aggregating metrics in
 //     per-worker shards. Workers ≤ 1 is the sequential replay and

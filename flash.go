@@ -9,9 +9,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/htlc"
 	"repro/internal/node"
 	"repro/internal/pcn"
 	"repro/internal/route"
@@ -84,9 +82,6 @@ type (
 	SchemeResult = sim.SchemeResult
 	// Summary is a min/mean/max aggregate.
 	Summary = stats.Summary
-	// Pair identifies a sender→receiver routing-table slot for
-	// Flash.Prewarm, the parallel mice-table build.
-	Pair = core.Pair
 )
 
 // Dynamic-network simulation: the discrete-event engine (virtual
@@ -250,43 +245,6 @@ func WriteDynamicJSON(out io.Writer, scheme string, res DynamicResult) error {
 	return sim.WriteDynamicJSON(out, scheme, res)
 }
 
-// Topology maintenance (gossip) and payment security (HTLC) — the two
-// layers the paper assumes (§2.1, §3.1); built here so the repository
-// covers the full system.
-type (
-	// GossipPeer floods channel open/close/fee events and maintains an
-	// eventually consistent local View.
-	GossipPeer = gossip.Peer
-	// GossipView is a node's local belief about the topology.
-	GossipView = gossip.View
-	// GossipEvent is one channel lifecycle announcement.
-	GossipEvent = gossip.Event
-	// HTLCLedger manages hash time-locked contracts over a Network.
-	HTLCLedger = htlc.Ledger
-	// HTLCChain is the logical block-height clock HTLC expiries use.
-	HTLCChain = htlc.Chain
-	// HTLCPayment is a multi-hop chain of hash-locked contracts.
-	HTLCPayment = htlc.Payment
-	// Secret is an HTLC preimage; its SHA-256 hash locks contracts.
-	Secret = htlc.Secret
-)
-
-// NewGossipPeer creates a gossiping participant over an n-node ID
-// space; ConnectPeers joins two peers that share a channel.
-func NewGossipPeer(id NodeID, n int) *GossipPeer { return gossip.NewPeer(id, n) }
-
-// ConnectPeers makes two gossip peers neighbours.
-func ConnectPeers(a, b *GossipPeer) { gossip.Connect(a, b) }
-
-// NewHTLCLedger creates an HTLC ledger over net, timed by chain.
-func NewHTLCLedger(net *Network, chain *HTLCChain) *HTLCLedger { return htlc.NewLedger(net, chain) }
-
-// SetupHTLCPayment locks a hash time-locked contract on every hop of
-// path (expiries decreasing towards the receiver).
-func SetupHTLCPayment(l *HTLCLedger, path []NodeID, amount float64, hash htlc.Hash, delta int64) (*HTLCPayment, error) {
-	return htlc.Setup(l, path, amount, hash, delta)
-}
-
 // Testbed.
 type (
 	// Node is a TCP protocol endpoint (paper §5.1 prototype).
@@ -370,7 +328,7 @@ func RunSimulation(net *Network, r Router, payments []Payment, miceThreshold flo
 
 // RunSimulationOpts is RunSimulation with replay options: Workers > 1
 // replays payments concurrently (deterministic per-payment RNG
-// seeding), Prewarm parallel-builds Flash's routing tables first.
+// seeding).
 func RunSimulationOpts(net *Network, r Router, payments []Payment, miceThreshold float64, opts SimOptions) (Metrics, error) {
 	return sim.RunOpts(net, r, payments, miceThreshold, opts)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	flash "repro"
-	"repro/internal/htlc"
 	"repro/internal/trace"
 )
 
@@ -210,52 +209,4 @@ func ExampleThresholdForMiceFraction() {
 	amounts := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000}
 	fmt.Println(flash.ThresholdForMiceFraction(amounts, 0.9))
 	// Output: 9
-}
-
-// TestGossipAndHTLCFacade exercises the topology-maintenance and
-// payment-security layers through the public API.
-func TestGossipAndHTLCFacade(t *testing.T) {
-	g := flash.NewGraph(3)
-	g.MustAddChannel(0, 1)
-	g.MustAddChannel(1, 2)
-	net := flash.NewNetwork(g)
-	net.SetBalance(0, 1, 100, 100)
-	net.SetBalance(1, 2, 100, 100)
-
-	// Gossip: three peers learn the topology from announcements.
-	peers := []*flash.GossipPeer{
-		flash.NewGossipPeer(0, 3), flash.NewGossipPeer(1, 3), flash.NewGossipPeer(2, 3),
-	}
-	flash.ConnectPeers(peers[0], peers[1])
-	flash.ConnectPeers(peers[1], peers[2])
-	peers[0].AnnounceOpen(1)
-	peers[1].AnnounceOpen(2)
-	if peers[2].View().NumOpen() != 2 {
-		t.Fatalf("peer 2 view has %d channels, want 2", peers[2].View().NumOpen())
-	}
-	path := flash.ShortestPath(peers[0].View().Graph(), 0, 2, nil)
-	if len(path) != 3 {
-		t.Fatalf("view path = %v", path)
-	}
-
-	// HTLC: settle a payment along the gossip-discovered path.
-	chain := &flash.HTLCChain{}
-	ledger := flash.NewHTLCLedger(net, chain)
-	secret, err := htlc.NewSecret(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payment, err := flash.SetupHTLCPayment(ledger, path, 25, secret.Hash(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := payment.ClaimAll(secret); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Balance(2, 1); math.Abs(got-125) > 1e-9 {
-		t.Errorf("receiver balance = %v, want 125", got)
-	}
-	if ledger.Escrow() != 0 {
-		t.Errorf("escrow = %v, want 0", ledger.Escrow())
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // TestContentionAllThroughSharedBridge replays the contention workload
@@ -96,37 +95,5 @@ func TestConcurrentScenarioRuns(t *testing.T) {
 				t.Errorf("%s: inconsistent metrics %+v", r.Scheme, m)
 			}
 		}
-	}
-}
-
-// TestPrewarmOptionKeepsMetrics verifies the Prewarm replay option only
-// moves work earlier: routing outcomes are driven by the same table
-// contents, so success metrics are unchanged in a sequential replay.
-func TestPrewarmOptionKeepsMetrics(t *testing.T) {
-	run := func(prewarm bool) Metrics {
-		net, err := BuildNetwork(KindRipple, 80, 10, 0, 0, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := workloadFor(KindRipple, net.Graph(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payments := gen.Generate(200)
-		threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-		r, err := NewRouter(SchemeFlash, threshold, 0, 0, false, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := RunOpts(net, r, payments, threshold, Options{Prewarm: prewarm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cold := stripDelays(run(false))
-	warm := stripDelays(run(true))
-	if cold != warm {
-		t.Errorf("Prewarm changed sequential metrics:\n cold %+v\n warm %+v", cold, warm)
 	}
 }

@@ -340,7 +340,9 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	for g.queue.Len() > 0 {
 		e, _ := g.queue.Pop()
 		g.clock.AdvanceTo(e.Time)
-		g.log.Record(e)
+		if e.Kind != event.PaymentComplete && e.Kind != event.DeadlineExpiry {
+			g.log.Record(e) // settle records its own, once the attempt settles
+		}
 		switch e.Kind {
 		case event.PaymentArrival:
 			g.arrival(e)
@@ -664,7 +666,8 @@ func (g *engine) settleAt(dp *dynPayment, now float64) (event.Kind, float64) {
 // concurrent station the first such event is the harvest, where the
 // outcome becomes known: the settle happens right there only if
 // settleAt picks this very event, else it is rescheduled and the
-// station stays busy until it lands.
+// station stays busy until it lands. Only the event that settles is
+// logged, so the log holds one settle event per attempt.
 func (g *engine) settle(e event.Event) error {
 	dp := g.pending[e.ID]
 	if dp.done != nil {
@@ -675,6 +678,7 @@ func (g *engine) settle(e event.Event) error {
 			return nil
 		}
 	}
+	g.log.Record(e)
 	g.busy--
 	result := dp.inline
 	dp.spanAborted = false // only the settling attempt's verdict counts

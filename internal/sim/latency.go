@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/stats"
+import (
+	"slices"
+
+	"repro/internal/stats"
+)
 
 // LatencyStats is a streaming summary of payment completion latencies
 // (virtual completion instant − first-attempt arrival, in seconds):
@@ -47,19 +51,25 @@ func (l *LatencyStats) Mean() float64 {
 }
 
 // P50 returns the median completion latency estimate, 0 when empty.
-func (l *LatencyStats) P50() float64 { return quantileOrZero(l.p50) }
+func (l *LatencyStats) P50() float64 { return l.percentiles()[0] }
 
 // P95 returns the 95th-percentile completion latency estimate, 0 when
 // empty.
-func (l *LatencyStats) P95() float64 { return quantileOrZero(l.p95) }
+func (l *LatencyStats) P95() float64 { return l.percentiles()[1] }
 
 // P99 returns the 99th-percentile completion latency estimate, 0 when
 // empty.
-func (l *LatencyStats) P99() float64 { return quantileOrZero(l.p99) }
+func (l *LatencyStats) P99() float64 { return l.percentiles()[2] }
 
-func quantileOrZero(q *stats.QuantileEstimator) float64 {
-	if q == nil {
-		return 0
+// percentiles returns the p50/p95/p99 readings in ascending order. The
+// three P² estimators run independently, so on a steadily rising
+// stream the p95 marker can overtake the p99 one; sorting the readings
+// keeps P50 ≤ P95 ≤ P99.
+func (l *LatencyStats) percentiles() [3]float64 {
+	if l.p50 == nil {
+		return [3]float64{}
 	}
-	return q.Quantile()
+	q := [3]float64{l.p50.Quantile(), l.p95.Quantile(), l.p99.Quantile()}
+	slices.Sort(q[:])
+	return q
 }

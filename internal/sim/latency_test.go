@@ -53,6 +53,23 @@ func TestLatencyStats(t *testing.T) {
 	}
 }
 
+// TestLatencyPercentilesMonotone feeds a steadily rising stream (the
+// shape of queueing latencies on a griefed bridge) on which the raw
+// p95 and p99 P² estimators cross, and checks that the reported
+// percentiles stay ordered.
+func TestLatencyPercentilesMonotone(t *testing.T) {
+	var l LatencyStats
+	for _, v := range []float64{30, 31, 32, 32, 35, 63, 67, 69, 71, 73, 76, 96, 109, 110, 110, 113, 114, 126, 166, 174, 199, 204} {
+		l.Observe(v)
+	}
+	if raw95, raw99 := l.p95.Quantile(), l.p99.Quantile(); raw95 <= raw99 {
+		t.Fatalf("fixture no longer crosses the raw estimators: p95 %v <= p99 %v", raw95, raw99)
+	}
+	if !(l.P50() <= l.P95() && l.P95() <= l.P99()) {
+		t.Errorf("percentiles not monotone: p50 %v p95 %v p99 %v", l.P50(), l.P95(), l.P99())
+	}
+}
+
 // latencyScenario is the latency-slo catalogue cell at test scale.
 func latencyScenario(t *testing.T, name string) DynamicScenario {
 	t.Helper()
@@ -183,6 +200,37 @@ func TestDynamicDeadlineConcurrentRace(t *testing.T) {
 	}
 	if res.DeadlineExpiries == 0 {
 		t.Error("concurrent griefing run produced no deadline expiries")
+	}
+}
+
+// TestSettleLoggedOncePerAttempt checks that every attempt's arrival
+// pairs with exactly one logged settle event, complete or expiry. On
+// concurrent stations the harvest that learns an outcome reschedules
+// the attempt to its RTT- and deadline-aware instant; only that later
+// event settles and may be logged.
+func TestSettleLoggedOncePerAttempt(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sc := latencyScenario(t, "griefing")
+		sc.Duration = 10
+		sc.Rate = 6
+		sc.Seed = 3
+		sc.Workers = workers
+		results, err := RunDynamicScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := results[0].Result
+		c := res.EventCounts
+		if c[event.PaymentArrival] == 0 || c[event.DeadlineExpiry] == 0 {
+			t.Fatalf("workers=%d: run too small to check: %v", workers, c)
+		}
+		if got, want := c[event.PaymentComplete]+c[event.DeadlineExpiry], c[event.PaymentArrival]; got != want {
+			t.Errorf("workers=%d: %d settle events (%d complete + %d expiry) for %d arrivals",
+				workers, got, c[event.PaymentComplete], c[event.DeadlineExpiry], want)
+		}
+		if c[event.DeadlineExpiry] != res.DeadlineExpiries {
+			t.Errorf("workers=%d: %d expiry events, %d expiries", workers, c[event.DeadlineExpiry], res.DeadlineExpiries)
+		}
 	}
 }
 

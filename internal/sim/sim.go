@@ -22,12 +22,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -158,12 +156,6 @@ type Options struct {
 	// Unused when Workers ≤ 1.
 	Seed int64
 
-	// Prewarm parallel-builds Flash's mice routing table for every
-	// distinct mice (sender, receiver) pair of the workload before the
-	// replay starts, using Workers goroutines. Only effective when the
-	// router is *core.Flash; other routers ignore it.
-	Prewarm bool
-
 	// Retries re-routes a payment that failed to deliver up to this
 	// many additional times — the recovery policy for a payment that
 	// aborted because a concurrent hold lost a race. Between attempts
@@ -193,9 +185,6 @@ func Run(net *pcn.Network, r route.Router, payments []trace.Payment, miceThresho
 // sequential replay, larger Workers dispatch payments to a worker pool
 // over the shared network.
 func RunOpts(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, opts Options) (Metrics, error) {
-	if opts.Prewarm {
-		prewarmRouter(net, r, payments, opts.Workers)
-	}
 	if opts.Workers <= 1 {
 		return runSequential(net, r, payments, miceThreshold, opts)
 	}
@@ -462,31 +451,4 @@ func runConcurrent(net *pcn.Network, r route.Router, payments []trace.Payment, m
 		m.Merge(shards[i])
 	}
 	return m, firstErr
-}
-
-// prewarmRouter bulk-builds Flash's mice routing tables for the
-// workload's distinct mice pairs with a bounded worker pool. A no-op
-// for other router types. Pairs are classified against the router's
-// own elephant threshold — the one routeMice actually consults — not
-// the sim-level metrics threshold, which may legitimately differ.
-func prewarmRouter(net *pcn.Network, r route.Router, payments []trace.Payment, workers int) {
-	fl, ok := r.(*core.Flash)
-	if !ok {
-		return
-	}
-	threshold := fl.Config().Threshold
-	seen := make(map[[2]topo.NodeID]struct{}, len(payments))
-	var pairs []core.Pair
-	for _, p := range payments {
-		if p.Sender == p.Receiver || p.Amount <= 0 || p.Amount > threshold {
-			continue
-		}
-		key := [2]topo.NodeID{p.Sender, p.Receiver}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		pairs = append(pairs, core.Pair{Sender: p.Sender, Receiver: p.Receiver})
-	}
-	fl.Prewarm(net.Graph(), pairs, workers)
 }

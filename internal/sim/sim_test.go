@@ -204,13 +204,3 @@ func TestRunScenarioSchemesSeeIdenticalWorkload(t *testing.T) {
 		t.Errorf("identical scheme runs diverged: %+v vs %+v", a, b)
 	}
 }
-
-func TestRandPermDeterministic(t *testing.T) {
-	a := randPerm(10, 3)
-	b := randPerm(10, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("randPerm not deterministic")
-		}
-	}
-}
